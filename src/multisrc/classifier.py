@@ -4,6 +4,13 @@ A linear max-margin model over hashed word and character n-grams of the
 raw sentence text (no tokenization beyond whitespace for the word family).
 Supports grid search over n-gram ranges and k-fold jack-knifing so that
 training-time source labels carry test-time noise.
+
+SGD and scoring touch only an example's non-zero columns, through numpy
+fancy indexing. They give bit for bit the results of a per-feature loop:
+margins are summed left to right by `np.cumsum`, never by a reordering
+matmul, and a vector's indices never repeat, so a fancy-indexed `+=`
+applies each update once. Checkpoints store only the weight columns that
+are not all +0.0 and rebuild the dense matrix exactly on load.
 """
 
 from __future__ import annotations
@@ -59,6 +66,21 @@ class SparseVector:
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else -1
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Feature indices (intp) and counts (float64), in index order."""
+        indices = np.array([index for index, _ in self.entries], dtype=np.intp)
+        counts = np.array([count for _, count in self.entries], dtype=np.float64)
+        return indices, counts
+
+
+def _margins(biases: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per row, biases + terms[:, 0] + terms[:, 1] + ..., added left to right.
+
+    `np.cumsum` accumulates strictly in order, so this equals a scalar loop
+    over the terms bit for bit; `terms.sum(1)` or a matmul would not.
+    """
+    return np.cumsum(np.concatenate((biases[:, None], terms), axis=1), axis=1)[:, -1]
+
 
 def _hash_feature(family: bytes, gram: str, size: int) -> int:
     digest = hashlib.blake2b(family + gram.encode("utf-8"), digest_size=8).digest()
@@ -92,6 +114,15 @@ class ClassifierHyper:
     learning_rate: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        # `not x > 0` also rejects NaN
+        if not self.regularization_c > 0:
+            raise DataError(f"regularization_c must be > 0, got {self.regularization_c}")
+        if not self.learning_rate > 0:
+            raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+
 
 @dataclass
 class LinearModel:
@@ -106,10 +137,8 @@ class LinearModel:
             raise DataError(
                 f"feature index {vec.max_index} exceeds model dimensionality {self.weights.shape[1]}"
             )
-        out = self.biases.copy()
-        for idx, count in vec.entries:
-            out += self.weights[:, idx] * count
-        return out
+        indices, counts = vec.arrays()
+        return _margins(self.biases, self.weights[:, indices] * counts)
 
 
 def train_linear(
@@ -128,12 +157,12 @@ def train_linear(
         raise DataError(f"need >= 2 classes, got {class_ids}")
     class_index = {c: i for i, c in enumerate(class_ids)}
     data = sorted(data, key=lambda pair: (pair[1], pair[0].entries))
-    dim = cfg.feature_space_size
-    weights = np.zeros((len(class_ids), dim))
+    examples = [(*vec.arrays(), class_index[label]) for vec, label in data]
+    weights = np.zeros((len(class_ids), cfg.feature_space_size))
     biases = np.zeros(len(class_ids))
     rng = np.random.default_rng(hyper.seed)
     order = np.arange(len(data))
-    lam = 1.0 / (hyper.regularization_c * max(len(data), 1))
+    lam = 1.0 / (hyper.regularization_c * len(data))
     # L2 decay applied via a lazy scalar so each step touches only the
     # example's nonzero columns
     scale = 1.0
@@ -142,11 +171,8 @@ def train_linear(
         lr = hyper.learning_rate / (1.0 + epoch)
         decay = 1.0 - lr * lam
         for pos in order:
-            vec, label = data[pos]
-            target = class_index[label]
-            margins = biases.copy()
-            for idx, count in vec.entries:
-                margins += weights[:, idx] * (count * scale)
+            indices, counts, target = examples[pos]
+            margins = _margins(biases, weights[:, indices] * (counts * scale))
             scale *= decay
             if scale < 1e-9:
                 weights *= scale
@@ -154,9 +180,8 @@ def train_linear(
             for k in range(len(class_ids)):
                 y = 1.0 if k == target else -1.0
                 if y * margins[k] < 1.0:
-                    step = lr * y / scale
-                    for idx, count in vec.entries:
-                        weights[k, idx] += step * count
+                    # indices are strictly increasing, so no column is updated twice
+                    weights[k, indices] += (lr * y / scale) * counts
                     biases[k] += lr * y
     weights *= scale
     return LinearModel(class_ids=class_ids, weights=weights, biases=biases, cfg=cfg, hyper=hyper)
@@ -231,6 +256,7 @@ class JackknifeResult:
     fold_of_sentence: list[int]
     folds_trained_on: list[set[int]]  # per fold: which folds its model saw
     k: int
+    model: LinearModel  # fit on every fold, for labelling unseen sentences
 
 
 def jackknife_labels(
@@ -241,7 +267,8 @@ def jackknife_labels(
     Sentences are pooled in treebank order; fold assignment is the sentence
     index modulo k within each source, so the split is stratified and
     reproducible without stored randomness.  Each sentence is labeled by
-    the model trained on all other folds.
+    the model trained on all other folds; the returned model is fit on all
+    folds from the same feature vectors.
     """
     pooled: list[tuple[str, str]] = []  # (text, gold source)
     per_source_counts: dict[str, int] = {}
@@ -264,29 +291,27 @@ def jackknife_labels(
         fold_of_sentence.append(i % k)
         within_source[source] = i + 1
 
-    vectors = [featurize(text, cfg) for text, _ in pooled]
+    labelled = [(featurize(text, cfg), source) for text, source in pooled]
     predictions: list[str | None] = [None] * len(pooled)
     folds_trained_on = []
     for fold in range(k):
-        train_data = [
-            (vectors[i], pooled[i][1])
-            for i in range(len(pooled))
-            if fold_of_sentence[i] != fold
-        ]
+        train_data = [labelled[i] for i in range(len(pooled)) if fold_of_sentence[i] != fold]
         model = train_linear(train_data, cfg, hyper)
         folds_trained_on.append({f for f in range(k) if f != fold})
         for i in range(len(pooled)):
             if fold_of_sentence[i] == fold:
-                predictions[i], _ = predict_source(model, vectors[i])
+                predictions[i], _ = predict_source(model, labelled[i][0])
     return JackknifeResult(
         predictions=list(predictions),
         fold_of_sentence=fold_of_sentence,
         folds_trained_on=folds_trained_on,
         k=k,
+        model=train_linear(labelled, cfg, hyper),
     )
 
 
 def save_model(path, model: LinearModel):
+    """Write the biases and only the weight columns that are not all +0.0."""
     meta = {
         "class_ids": model.class_ids,
         "ngram": [model.cfg.word_min, model.cfg.word_max, model.cfg.char_min, model.cfg.char_max],
@@ -294,21 +319,37 @@ def save_model(path, model: LinearModel):
         "hyper": [model.hyper.regularization_c, model.hyper.epochs,
                   model.hyper.learning_rate, model.hyper.seed],
     }
-    save_checkpoint(path, "source_classifier", meta, {"weights": model.weights, "biases": model.biases})
+    # compare bit patterns, so a column holding -0.0 is kept
+    columns = np.flatnonzero(model.weights.view(np.uint64).any(axis=0))
+    arrays = {"columns": columns, "weights": model.weights[:, columns], "biases": model.biases}
+    save_checkpoint(path, "source_classifier", meta, arrays)
 
 
 def load_model(path) -> LinearModel:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "source_classifier":
         raise DataError(f"{path}: expected a source_classifier checkpoint, got {kind!r}")
+    for name in ("columns", "weights", "biases"):
+        if name not in arrays:
+            raise DataError(f"{path}: source_classifier checkpoint has no {name!r} array")
     wmin, wmax, cmin, cmax = meta["ngram"]
     cfg = NGramConfig(wmin, wmax, cmin, cmax, meta["feature_space_size"])
     c, epochs, lr, seed = meta["hyper"]
     hyper = ClassifierHyper(c, int(epochs), lr, int(seed))
-    return LinearModel(
-        class_ids=list(meta["class_ids"]),
-        weights=arrays["weights"],
-        biases=arrays["biases"],
-        cfg=cfg,
-        hyper=hyper,
-    )
+    class_ids = list(meta["class_ids"])
+    # checkpoints hold float64 arrays, so the column indices come back as floats
+    columns, block, biases = arrays["columns"], arrays["weights"], arrays["biases"]
+    if columns.ndim != 1 or not np.array_equal(columns, np.trunc(columns)):
+        raise DataError(f"{path}: weight column indices are not integers")
+    if np.any(np.diff(columns) <= 0):
+        raise DataError(f"{path}: weight column indices are not strictly increasing")
+    if columns.size and (columns[0] < 0 or columns[-1] >= cfg.feature_space_size):
+        raise DataError(f"{path}: weight column indices outside [0, {cfg.feature_space_size})")
+    if block.shape != (len(class_ids), columns.size) or biases.shape != (len(class_ids),):
+        raise DataError(
+            f"{path}: weights {block.shape} and biases {biases.shape} do not match "
+            f"{len(class_ids)} classes and {columns.size} columns"
+        )
+    weights = np.zeros((len(class_ids), cfg.feature_space_size))
+    weights[:, columns.astype(np.intp)] = block
+    return LinearModel(class_ids=class_ids, weights=weights, biases=biases, cfg=cfg, hyper=hyper)

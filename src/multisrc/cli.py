@@ -218,7 +218,7 @@ def cmd_classify(args) -> int:
 
 def cmd_train(args) -> int:
     registry, config = load_experiment_file(args.config)
-    group = registry.groups[config.group_id]
+    group = registry.group(config.group_id)
     if args.setting == "zero_shot":
         outcome = run_zero_shot(registry, group, config, args.seed)
         cell_dir = Path(args.out) / "runs" / group.group_id / "zero_shot" / str(args.seed)

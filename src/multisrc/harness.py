@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from copy import deepcopy
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifier import (
@@ -28,7 +28,6 @@ from .classifier import (
     macro_f1,
     predict_source,
     save_model,
-    train_linear,
 )
 from .conllu import Sentence, Treebank, write_conllu
 from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig
@@ -93,21 +92,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = dict(raw)
-        if "trainer" in kwargs:
-            kwargs["trainer"] = TrainerConfig(**kwargs["trainer"])
-        if "encoder" in kwargs:
-            kwargs["encoder"] = EncoderConfig(**kwargs["encoder"])
+        kwargs = _checked_keys(cls, raw, "experiment config", extra={"registry"})
+        kwargs.pop("registry", None)
+        for name, section in (("trainer", TrainerConfig), ("encoder", EncoderConfig),
+                              ("ngram", NGramConfig), ("classifier_hyper", ClassifierHyper)):
+            if name in kwargs:
+                kwargs[name] = section(**_checked_keys(section, kwargs[name], name))
         if "tagger" in kwargs:
-            tagger_raw = dict(kwargs["tagger"])
+            # the tagger shares the experiment's encoder
+            tagger_raw = _checked_keys(TaggerConfig, kwargs["tagger"], "tagger", drop={"encoder"})
             tagger_raw["encoder"] = kwargs.get("encoder", EncoderConfig())
             kwargs["tagger"] = TaggerConfig(**tagger_raw)
-        if "ngram" in kwargs:
-            kwargs["ngram"] = NGramConfig(**kwargs["ngram"])
-        if "classifier_hyper" in kwargs:
-            kwargs["classifier_hyper"] = ClassifierHyper(**kwargs["classifier_hyper"])
-        kwargs.pop("registry", None)
         return cls(**kwargs)
+
+
+def _checked_keys(cls, raw, where: str, extra=frozenset(), drop=frozenset()) -> dict:
+    """A copy of `raw` after checking its keys against dataclass `cls`."""
+    if not isinstance(raw, dict):
+        raise DataError(f"{where} must be a JSON object")
+    known = {f.name for f in fields(cls)} - set(drop) | set(extra)
+    for key in raw:
+        if key not in known:
+            raise DataError(f"unknown key {key!r} in {where}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise DataError(f"{where} lacks required key {f.name!r}")
+    return dict(raw)
 
 
 @dataclass
@@ -149,7 +159,7 @@ class CellOutcome:
     predictions: dict[str, Treebank]
     models: dict[str, object]
     routing: dict[str, list[str]] = field(default_factory=dict)
-    classifier_f1: float | None = None  # jackknife macro F1 on train (pred only)
+    classifier_f1: float | None = None  # jackknife macro F1 on train (pred and zero-shot)
 
 
 def seed_averages(rows: list[ResultRow]) -> list[ResultRow]:
@@ -242,14 +252,6 @@ def _evaluate(task: str, gold: Treebank, predicted: Treebank) -> list[EvalResult
     return [morph_f1(gold, predicted), lemma_accuracy(gold, predicted)]
 
 
-def _train_group_classifier(config: ExperimentConfig, treebanks: list[Treebank]):
-    data = []
-    for tb in treebanks:
-        for sent in tb.sentences:
-            data.append((featurize(sent.text, config.ngram), tb.source_id))
-    return train_linear(data, config.ngram, config.classifier_hyper)
-
-
 def _route_sentences(model, sentences: list[Sentence], ngram: NGramConfig) -> list[str]:
     return [predict_source(model, featurize(s.text, ngram))[0] for s in sentences]
 
@@ -294,15 +296,8 @@ def run_setting(
     if setting == "pred":
         with registry.phase("classifier"):
             jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
-            classifier = _train_group_classifier(config, train_banks)
-        gold_labels = [tb.source_id for tb in train_banks for _ in tb.sentences]
-        jackknife_f1 = macro_f1(gold_labels, jackknife.predictions)
-        position = 0
-        for tb in train_banks:
-            for sent in tb.sentences:
-                sent.predicted_source_id = jackknife.predictions[position]
-                position += 1
-        models["classifier"] = classifier
+        jackknife_f1 = _apply_jackknife(train_banks, jackknife.predictions)
+        models["classifier"] = jackknife.model
 
     encoder_mode = SETTING_ENCODER_MODE[setting]
     members = group.members if setting in ("gold", "pred") else []
@@ -324,6 +319,17 @@ def run_setting(
             _rows_for(config, group, member, setting, seed, _evaluate(config.task, gold_tb, predicted))
         )
     return CellOutcome(rows, predictions, models, routing, classifier_f1=jackknife_f1)
+
+
+def _apply_jackknife(train_banks: list[Treebank], predictions: list[str]) -> float:
+    """Stamp the jack-knifed source ids on the training sentences; their macro F1."""
+    position = 0
+    for tb in train_banks:
+        for sent in tb.sentences:
+            sent.predicted_source_id = predictions[position]
+            position += 1
+    gold_labels = [tb.source_id for tb in train_banks for _ in tb.sentences]
+    return macro_f1(gold_labels, predictions)
 
 
 def _rows_for(config, group, member, setting, seed, results, mode=None):
@@ -367,12 +373,8 @@ def run_zero_shot(
         train_banks = [copy_treebank(registry.split(m, "train")) for m in remaining]
     with registry.phase("classifier"):
         jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
-        classifier = _train_group_classifier(config, train_banks)
-    position = 0
-    for tb in train_banks:
-        for sent in tb.sentences:
-            sent.predicted_source_id = jackknife.predictions[position]
-            position += 1
+    jackknife_f1 = _apply_jackknife(train_banks, jackknife.predictions)
+    classifier = jackknife.model
 
     concat_model = _train_model(config, train_banks, [], MODE_NONE, seed)
     pred_model = _train_model(config, train_banks, remaining, MODE_PRED, seed)
@@ -409,6 +411,7 @@ def run_zero_shot(
         predictions,
         {"concat": concat_model, "pred": pred_model, "classifier": classifier},
         routing={held_out: routed},
+        classifier_f1=jackknife_f1,
     )
 
 
@@ -451,9 +454,7 @@ def emit_reports(out_dir: str | Path, rows: list[ResultRow], filter_reports: dic
 
 def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | Path) -> list[ResultRow]:
     """Run the configured grid; write the standard output layout."""
-    if config.group_id not in registry.groups:
-        raise DataError(f"unknown group {config.group_id!r}")
-    group = registry.groups[config.group_id]
+    group = registry.group(config.group_id)
     out_dir = Path(out_dir)
     all_rows: list[ResultRow] = []
     pca_tables: dict[str, tuple[list[str], object]] = {}
@@ -465,6 +466,7 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
             cell_dir = out_dir / "runs" / group.group_id / "zero_shot" / str(seed)
             _write_cell(cell_dir, config, outcome)
             all_rows.extend(outcome.rows)
+            classifier_f1 = outcome.classifier_f1
             continue
         for setting in config.settings:
             outcome = run_setting(registry, group, config, setting, seed)

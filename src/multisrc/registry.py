@@ -98,6 +98,11 @@ class Registry:
             raise DataError(f"unknown source {source_id!r}")
         return self.sources[source_id]
 
+    def group(self, group_id: str) -> DatasetGroup:
+        if group_id not in self.groups:
+            raise DataError(f"unknown group {group_id!r}")
+        return self.groups[group_id]
+
     @contextmanager
     def phase(self, name: str):
         """Label subsequent split accesses with a phase name."""

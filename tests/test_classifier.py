@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisrc.classifier import (
     WORD_JOINER,
@@ -19,7 +21,9 @@ from multisrc.classifier import (
     train_linear,
 )
 from multisrc.errors import DataError
+from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 
+from .classifier_reference import scores_reference, train_linear_reference
 from .helpers import treebank_from_sentences
 
 FAST = ClassifierHyper(epochs=10, seed=3)
@@ -263,3 +267,112 @@ def test_model_checkpoint_roundtrip_bit_exact(tmp_path):
     for text in ("aaa", "bbb", "aaa bbb"):
         vec = featurize(text, config)
         assert predict_source(loaded, vec) == predict_source(model, vec)
+
+
+def test_model_checkpoint_stores_only_nonzero_columns(tmp_path):
+    config, data = separable_data()
+    model = train_linear(data, config, FAST)
+    model.weights[1, 7] = -0.0  # a column that is zero by value but not by bits
+    path = tmp_path / "clf.npz"
+    save_model(path, model)
+    _, _, arrays = load_checkpoint(path)
+    touched = np.flatnonzero(np.any(model.weights != 0, axis=0))
+    assert arrays["columns"].tolist() == sorted(touched.tolist() + [7])
+    assert arrays["weights"].shape == (2, len(touched) + 1)
+    loaded = load_model(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda a: a.update(columns=a["columns"] + 0.5), "not integers"),
+        (lambda a: a.update(columns=a["columns"][::-1].copy(), weights=a["weights"][:, ::-1]),
+         "not strictly increasing"),
+        (lambda a: a.update(columns=np.append(a["columns"][:-1], SMALL_SPACE)), "outside"),
+        (lambda a: a.update(weights=a["weights"][:, 1:]), "do not match"),
+        (lambda a: a.pop("columns"), "no 'columns' array"),
+    ],
+    ids=["fractional", "decreasing", "out-of-range", "block-shape", "dense-layout"],
+)
+def test_model_checkpoint_rejects_bad_columns(tmp_path, tamper, message):
+    config, data = separable_data()
+    path = tmp_path / "clf.npz"
+    save_model(path, train_linear(data, config, FAST))
+    kind, meta, arrays = load_checkpoint(path)
+    tamper(arrays)
+    save_checkpoint(path, kind, meta, arrays)
+    with pytest.raises(DataError, match=message):
+        load_model(path)
+
+
+def test_jackknife_model_equals_fit_on_all_sentences():
+    banks = disjoint_treebanks(10)
+    config = NGramConfig(1, 1, 1, 2, SMALL_SPACE)
+    result = jackknife_labels(banks, config, FAST)
+    data = [(featurize(s.text, config), tb.source_id) for tb in banks for s in tb.sentences]
+    model = train_linear(data, config, FAST)
+    assert result.model.class_ids == model.class_ids
+    assert np.array_equal(result.model.weights, model.weights)
+    assert np.array_equal(result.model.biases, model.biases)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("regularization_c", 0.0), ("regularization_c", -1.0), ("regularization_c", float("nan")),
+     ("learning_rate", 0.0), ("epochs", 0)],
+)
+def test_classifier_hyper_validation(field, value):
+    with pytest.raises(DataError, match=field):
+        ClassifierHyper(**{field: value})
+
+
+# -- exactness against the scalar reference -------------------------------------
+
+REF_SPACE = 32
+
+sparse_vectors = st.dictionaries(
+    st.integers(0, REF_SPACE - 1), st.integers(1, 10**12), max_size=6
+).map(lambda counts: SparseVector(sorted(counts.items())))
+
+
+def assert_matches_reference(data, hyper, probes):
+    config = NGramConfig(1, 1, 1, 1, REF_SPACE)
+    model = train_linear(data, config, hyper)
+    reference, renormalised = train_linear_reference(data, config, hyper)
+    assert model.class_ids == reference.class_ids
+    assert np.array_equal(model.weights, reference.weights)
+    assert np.array_equal(model.biases, reference.biases)
+    for vec in probes:
+        assert np.array_equal(model.scores(vec), scores_reference(model, vec))
+    return renormalised
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labelled=st.lists(st.tuples(sparse_vectors, st.integers(0, 3)), min_size=1, max_size=12),
+    n_classes=st.integers(2, 4),
+    probes=st.lists(sparse_vectors, max_size=4),
+    epochs=st.integers(1, 4),
+    learning_rate=st.floats(1e-3, 2.0),
+    regularization_c=st.floats(0.05, 10.0),
+    seed=st.integers(0, 2**16),
+)
+def test_vectorised_sgd_and_scores_equal_scalar_reference(
+    labelled, n_classes, probes, epochs, learning_rate, regularization_c, seed
+):
+    classes = [f"c{i}" for i in range(n_classes)]
+    data = [(vec, classes[label % n_classes]) for vec, label in labelled]
+    # every class present, plus an empty and a single-feature vector
+    data += [(SparseVector([]), classes[0])]
+    data += [(SparseVector([(REF_SPACE - 1, 3)]), c) for c in classes[1:]]
+    hyper = ClassifierHyper(regularization_c, epochs, learning_rate, seed)
+    assert_matches_reference(data, hyper, probes + [SparseVector([])])
+
+
+def test_vectorised_sgd_equals_reference_through_scale_renormalisation():
+    # lr * lambda = 0.99: the lazy L2 scale shrinks 100-fold per step in
+    # the first epoch and falls below 1e-9 within five steps
+    data = [(SparseVector([(i, 1 + i), (i + 8, 2)]), "AB"[i % 2]) for i in range(6)]
+    hyper = ClassifierHyper(regularization_c=1 / 6, epochs=20, learning_rate=0.99, seed=5)
+    assert assert_matches_reference(data, hyper, [vec for vec, _ in data]) > 0

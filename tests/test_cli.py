@@ -208,6 +208,20 @@ def test_experiment_and_train_verbs(tmp_path, capsys):
     ).read_bytes()
 
 
+def test_train_unknown_group_is_one_line_data_error(tmp_path, capsys):
+    write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                  n_conflict_dev=1, n_shared_dev=1),
+                 tmp_path / "data", group_id="amb")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(
+        {"registry": "data/registry.json", "task": "parse", "group_id": "nope"}
+    ))
+    code, _, err = run(["train", "--config", str(config_path), "--setting", "concat",
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: DataError: unknown group 'nope'\n"
+
+
 def test_pca_verb(tmp_path, capsys):
     table = tmp_path / "table.tsv"
     table.write_text(

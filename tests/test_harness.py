@@ -166,6 +166,23 @@ def test_zero_shot_isolation_routing_and_rows():
     assert all(r.source_id == "style_mix" for r in outcome.rows)
 
 
+def test_zero_shot_experiment_reports_jackknife_f1_in_filters(tmp_path):
+    registry = disjoint_registry()
+    registry.add_source(DataSource(
+        source_id="src_c", language="syn",
+        train=treebank_from_sentences("src_c", [["cat0", "catverb0"], ["cat1", "catverb1"]]),
+        dev=treebank_from_sentences("src_c", [["apple0", "boatverb1"]], split="dev"),
+    ))
+    registry.add_group(DatasetGroup(group_id="g3", members=["src_a", "src_b", "src_c"]))
+    config = tiny_config(group_id="g3", mode="zero_shot", held_out_source="src_c")
+    run_experiment(registry, config, tmp_path)
+    buckets = {line.split("\t")[0] for line in (tmp_path / "filters.tsv").read_text().splitlines()}
+    # disjoint vocabularies: the jack-knife is perfect, so the held-out
+    # source sits in the svm>95 bucket
+    assert "svm>95" in buckets
+    assert "svm<=95" not in buckets
+
+
 def test_zero_shot_requires_three_members():
     registry = disjoint_registry()
     config = tiny_config(mode="zero_shot", held_out_source="src_a")
@@ -288,6 +305,28 @@ def test_run_experiment_layout_and_determinism(tmp_path):
     for rel in ("summary.tsv", "filters.tsv", "runs/amb/gold/0/results.tsv",
                 "runs/amb/gold/0/predictions_dialect_a.conllu", "pca/amb.tsv"):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("section", [None, "trainer", "encoder", "tagger", "ngram",
+                                     "classifier_hyper"])
+def test_experiment_config_from_dict_rejects_unknown_keys(section):
+    raw = {"task": "tag_lemma", "group_id": "g", "tagger": {"decoder_hidden": 8}}
+    if section is None:
+        raw["bogus_key"] = 1
+    else:
+        raw.setdefault(section, {})["bogus_key"] = 1
+    with pytest.raises(DataError, match="bogus_key"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_experiment_config_from_dict_rejects_missing_and_misplaced_keys():
+    with pytest.raises(DataError, match="'group_id'"):
+        ExperimentConfig.from_dict({"task": "parse"})
+    with pytest.raises(DataError, match="'encoder' in tagger"):
+        ExperimentConfig.from_dict({"task": "tag_lemma", "group_id": "g",
+                                    "tagger": {"encoder": {}}})
+    with pytest.raises(DataError, match="trainer must be a JSON object"):
+        ExperimentConfig.from_dict({"task": "parse", "group_id": "g", "trainer": [1]})
 
 
 def test_experiment_config_validation():
