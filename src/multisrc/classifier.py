@@ -23,6 +23,7 @@ import numpy as np
 from .conllu import Treebank
 from .errors import DataError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .schema import from_dict, to_dict
 
 WORD_JOINER = "⁣"  # invisible separator; reserved, not expected in text
 
@@ -314,10 +315,8 @@ def save_model(path, model: LinearModel):
     """Write the biases and only the weight columns that are not all +0.0."""
     meta = {
         "class_ids": model.class_ids,
-        "ngram": [model.cfg.word_min, model.cfg.word_max, model.cfg.char_min, model.cfg.char_max],
-        "feature_space_size": model.cfg.feature_space_size,
-        "hyper": [model.hyper.regularization_c, model.hyper.epochs,
-                  model.hyper.learning_rate, model.hyper.seed],
+        "ngram": to_dict(model.cfg),
+        "hyper": to_dict(model.hyper),
     }
     # compare bit patterns, so a column holding -0.0 is kept
     columns = np.flatnonzero(model.weights.view(np.uint64).any(axis=0))
@@ -332,10 +331,8 @@ def load_model(path) -> LinearModel:
     for name in ("columns", "weights", "biases"):
         if name not in arrays:
             raise DataError(f"{path}: source_classifier checkpoint has no {name!r} array")
-    wmin, wmax, cmin, cmax = meta["ngram"]
-    cfg = NGramConfig(wmin, wmax, cmin, cmax, meta["feature_space_size"])
-    c, epochs, lr, seed = meta["hyper"]
-    hyper = ClassifierHyper(c, int(epochs), lr, int(seed))
+    cfg = from_dict(NGramConfig, meta.get("ngram"), f"{path} ngram", require_all=True)
+    hyper = from_dict(ClassifierHyper, meta.get("hyper"), f"{path} hyper", require_all=True)
     class_ids = list(meta["class_ids"])
     # checkpoints hold float64 arrays, so the column indices come back as floats
     columns, block, biases = arrays["columns"], arrays["weights"], arrays["biases"]

@@ -28,7 +28,7 @@ from .classifier import (
 )
 from .conllu import parse_conllu, write_conllu
 from .errors import MultisrcError, UsageError
-from .harness import load_experiment_file, run_experiment, run_setting, run_zero_shot, _write_cell
+from .harness import load_experiment_file, run_cell, run_experiment
 from .metrics import METRIC_FUNCTIONS
 from .pca import pca_project, pca_tsv
 from .registry import compute_filters, load_registry, pair_by_overlap
@@ -106,14 +106,11 @@ def _ngram_from_args(args) -> NGramConfig:
 
 
 def _group_texts(registry, group_id, split="train"):
-    if group_id not in registry.groups:
-        raise UsageError(f"unknown group {group_id!r}")
-    group = registry.groups[group_id]
     texts = []
-    for member in group.members:
+    for member in registry.group(group_id).members:
         for sent in registry.split(member, split).sentences:
             texts.append((sent.text, member))
-    return group, texts
+    return texts
 
 
 def cmd_convert(args) -> int:
@@ -137,9 +134,7 @@ def cmd_group(args) -> int:
         )
         print(f"group: paired {group.members[0]} with {group.members[1]}")
     if args.group_id:
-        if args.group_id not in registry.groups:
-            raise UsageError(f"unknown group {args.group_id!r}")
-        reports = compute_filters(registry, registry.groups[args.group_id], args.classifier_f1)
+        reports = compute_filters(registry, registry.group(args.group_id), args.classifier_f1)
         lines = ["source_id\tword_count\tmax_overlap\tis_small\tis_multilang_group"
                  "\texists_same_lang\tsvm_above_95\thigh_word_overlap"]
         for source_id in sorted(reports):
@@ -165,7 +160,7 @@ def cmd_classify(args) -> int:
 
     if args.action == "train":
         registry = load_registry(args.config)
-        _, texts = _group_texts(registry, args.group_id)
+        texts = _group_texts(registry, args.group_id)
         data = [(featurize(text, ngram), label) for text, label in texts]
         model = train_linear(data, ngram, hyper)
         save_model(out, model)
@@ -190,8 +185,8 @@ def cmd_classify(args) -> int:
 
     if args.action == "gridsearch":
         registry = load_registry(args.config)
-        _, train_texts = _group_texts(registry, args.group_id, "train")
-        _, dev_texts = _group_texts(registry, args.group_id, "dev")
+        train_texts = _group_texts(registry, args.group_id, "train")
+        dev_texts = _group_texts(registry, args.group_id, "dev")
         best, f1 = grid_search(train_texts, dev_texts, default_grid(args.feature_space), hyper)
         out.write_text(
             "word_min\tword_max\tchar_min\tchar_max\tmacro_f1\n"
@@ -204,7 +199,7 @@ def cmd_classify(args) -> int:
 
     # jackknife
     registry = load_registry(args.config)
-    group, _ = _group_texts(registry, args.group_id)
+    group = registry.group(args.group_id)
     banks = [registry.split(m, "train") for m in group.members]
     result = jackknife_labels(banks, ngram, hyper)
     gold = [tb.source_id for tb in banks for _ in tb.sentences]
@@ -219,13 +214,7 @@ def cmd_classify(args) -> int:
 def cmd_train(args) -> int:
     registry, config = load_experiment_file(args.config)
     group = registry.group(config.group_id)
-    if args.setting == "zero_shot":
-        outcome = run_zero_shot(registry, group, config, args.seed)
-        cell_dir = Path(args.out) / "runs" / group.group_id / "zero_shot" / str(args.seed)
-    else:
-        outcome = run_setting(registry, group, config, args.setting, args.seed)
-        cell_dir = Path(args.out) / "runs" / group.group_id / args.setting / str(args.seed)
-    _write_cell(cell_dir, config, outcome)
+    outcome, cell_dir = run_cell(registry, group, config, args.setting, args.seed, args.out)
     print(f"train: wrote {cell_dir} ({len(outcome.rows)} result rows)")
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from copy import deepcopy
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .classifier import (
@@ -37,6 +37,7 @@ from .nn import TrainerConfig
 from .parser_model import DependencyParser, ParserConfig, label_inventory, save_parser, train_parser
 from .pca import pca_project, pca_tsv
 from .registry import DatasetGroup, Registry, compute_filters
+from .schema import from_dict
 from .tagger import (
     JointTagger,
     TaggerConfig,
@@ -92,32 +93,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = _checked_keys(cls, raw, "experiment config", extra={"registry"})
-        kwargs.pop("registry", None)
-        for name, section in (("trainer", TrainerConfig), ("encoder", EncoderConfig),
-                              ("ngram", NGramConfig), ("classifier_hyper", ClassifierHyper)):
-            if name in kwargs:
-                kwargs[name] = section(**_checked_keys(section, kwargs[name], name))
-        if "tagger" in kwargs:
-            # the tagger shares the experiment's encoder
-            tagger_raw = _checked_keys(TaggerConfig, kwargs["tagger"], "tagger", drop={"encoder"})
-            tagger_raw["encoder"] = kwargs.get("encoder", EncoderConfig())
-            kwargs["tagger"] = TaggerConfig(**tagger_raw)
-        return cls(**kwargs)
-
-
-def _checked_keys(cls, raw, where: str, extra=frozenset(), drop=frozenset()) -> dict:
-    """A copy of `raw` after checking its keys against dataclass `cls`."""
-    if not isinstance(raw, dict):
-        raise DataError(f"{where} must be a JSON object")
-    known = {f.name for f in fields(cls)} - set(drop) | set(extra)
-    for key in raw:
-        if key not in known:
-            raise DataError(f"unknown key {key!r} in {where}")
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
-            raise DataError(f"{where} lacks required key {f.name!r}")
-    return dict(raw)
+        # the tagger shares the experiment's encoder
+        tagger = raw.get("tagger") if isinstance(raw, dict) else None
+        if isinstance(tagger, dict) and "encoder" in tagger:
+            raise DataError("experiment config: unknown key 'encoder' in tagger")
+        config = from_dict(cls, raw, "experiment config", extra={"registry"})
+        config.tagger = replace(config.tagger, encoder=config.encoder)
+        return config
 
 
 @dataclass
@@ -182,10 +164,6 @@ def seed_averages(rows: list[ResultRow]) -> list[ResultRow]:
 
 
 # -- data assembly -------------------------------------------------------------
-
-
-def copy_treebank(tb: Treebank) -> Treebank:
-    return deepcopy(tb)
 
 
 def eval_split(registry: Registry, source_id: str) -> Treebank:
@@ -277,7 +255,7 @@ def run_setting(
     if setting == "base":
         for member in group.members:
             with registry.phase("training"):
-                train_tb = copy_treebank(registry.split(member, "train"))
+                train_tb = deepcopy(registry.split(member, "train"))
             model = _train_model(config, [train_tb], [], MODE_NONE, seed)
             models[member] = model
             with registry.phase("evaluation"):
@@ -290,7 +268,7 @@ def run_setting(
         return CellOutcome(rows, predictions, models, routing)
 
     with registry.phase("training"):
-        train_banks = [copy_treebank(registry.split(m, "train")) for m in group.members]
+        train_banks = [deepcopy(registry.split(m, "train")) for m in group.members]
 
     jackknife_f1 = None
     if setting == "pred":
@@ -307,7 +285,7 @@ def run_setting(
     for member in group.members:
         with registry.phase("evaluation"):
             gold_tb = eval_split(registry, member)
-        eval_tb = copy_treebank(gold_tb)
+        eval_tb = deepcopy(gold_tb)
         if setting == "pred":
             routed = _route_sentences(models["classifier"], eval_tb.sentences, config.ngram)
             routing[member] = routed
@@ -370,7 +348,7 @@ def run_zero_shot(
     remaining = [m for m in group.members if m != held_out]
 
     with registry.phase("training"):
-        train_banks = [copy_treebank(registry.split(m, "train")) for m in remaining]
+        train_banks = [deepcopy(registry.split(m, "train")) for m in remaining]
     with registry.phase("classifier"):
         jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
     jackknife_f1 = _apply_jackknife(train_banks, jackknife.predictions)
@@ -385,7 +363,7 @@ def run_zero_shot(
 
     with registry.phase("evaluation"):
         gold_tb = eval_split(registry, held_out)
-    eval_tb = copy_treebank(gold_tb)
+    eval_tb = deepcopy(gold_tb)
     routed = _route_sentences(classifier, eval_tb.sentences, config.ngram)
     if any(route not in remaining for route in routed):
         raise DataError("classifier routed a sentence outside the remaining members")
@@ -460,18 +438,10 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
     pca_tables: dict[str, tuple[list[str], object]] = {}
     classifier_f1 = 0.0
 
+    settings = ["zero_shot"] if config.mode == "zero_shot" else config.settings
     for seed in config.seeds:
-        if config.mode == "zero_shot":
-            outcome = run_zero_shot(registry, group, config, seed)
-            cell_dir = out_dir / "runs" / group.group_id / "zero_shot" / str(seed)
-            _write_cell(cell_dir, config, outcome)
-            all_rows.extend(outcome.rows)
-            classifier_f1 = outcome.classifier_f1
-            continue
-        for setting in config.settings:
-            outcome = run_setting(registry, group, config, setting, seed)
-            cell_dir = out_dir / "runs" / group.group_id / setting / str(seed)
-            _write_cell(cell_dir, config, outcome)
+        for setting in settings:
+            outcome, _ = run_cell(registry, group, config, setting, seed, out_dir)
             all_rows.extend(outcome.rows)
             if outcome.classifier_f1 is not None:
                 classifier_f1 = outcome.classifier_f1
@@ -496,7 +466,21 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
     return all_rows
 
 
-def _write_cell(cell_dir: Path, config: ExperimentConfig, outcome: CellOutcome):
+def run_cell(
+    registry: Registry,
+    group: DatasetGroup,
+    config: ExperimentConfig,
+    setting: str,
+    seed: int,
+    out_dir: str | Path,
+) -> tuple[CellOutcome, Path]:
+    """Run one (setting, seed) cell, or the zero-shot cell for setting
+    "zero_shot", and write it to out_dir/runs/<group>/<setting>/<seed>."""
+    if setting == "zero_shot":
+        outcome = run_zero_shot(registry, group, config, seed)
+    else:
+        outcome = run_setting(registry, group, config, setting, seed)
+    cell_dir = Path(out_dir) / "runs" / group.group_id / setting / str(seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
     write_rows_tsv(cell_dir / "results.tsv", outcome.rows)
     for name, predicted in sorted(outcome.predictions.items()):
@@ -511,6 +495,7 @@ def _write_cell(cell_dir: Path, config: ExperimentConfig, outcome: CellOutcome):
             save_tagger(path, model)
         else:
             save_model(path, model)
+    return outcome, cell_dir
 
 
 def load_experiment_file(path: str | Path) -> tuple[Registry, ExperimentConfig]:
@@ -519,7 +504,7 @@ def load_experiment_file(path: str | Path) -> tuple[Registry, ExperimentConfig]:
 
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    if "registry" not in raw:
+    config = ExperimentConfig.from_dict(raw)
+    if not isinstance(raw.get("registry"), str):
         raise DataError("experiment config must name a registry file")
-    registry = load_registry(path.parent / raw["registry"])
-    return registry, ExperimentConfig.from_dict(raw)
+    return load_registry(path.parent / raw["registry"]), config

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DataError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_KEY = "__meta__"
 
 

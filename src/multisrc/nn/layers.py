@@ -127,12 +127,6 @@ class BiLSTM:
         bwd_states = self.bwd.run(list(reversed(inputs)))[::-1]
         return [T.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
 
-    def final_state(self, inputs: list[Tensor]) -> Tensor:
-        """[last forward h ; last backward h] — a whole-sequence summary."""
-        fwd_states = self.fwd.run(inputs)
-        bwd_states = self.bwd.run(list(reversed(inputs)))
-        return T.concat([fwd_states[-1], bwd_states[-1]])
-
 
 class AdditiveAttention:
     """Single-head additive attention over a list of encoding vectors."""

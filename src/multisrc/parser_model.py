@@ -22,6 +22,7 @@ from .nn import Affine, Embedding, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .oracle import DynamicOracle
+from .schema import from_dict, to_dict
 from .trees import ROOT, DependencyTree, attach_tree
 from .transitions import (
     ARC_KINDS,
@@ -277,21 +278,12 @@ def _kind_indices(model, kind):
 
 
 def save_parser(path, model: DependencyParser, extra_meta: dict | None = None):
-    cfg = model.config
     meta = {
         "labels": model.labels,
         "members": model.members,
         "seed": model.seed,
         "vocab": model.encoder.vocab.to_meta(),
-        "dims": {
-            "word_dim": cfg.encoder.word_dim,
-            "char_dim": cfg.encoder.char_dim,
-            "char_emb_dim": cfg.encoder.char_emb_dim,
-            "source_dim": cfg.encoder.source_dim,
-            "hidden_dim": cfg.encoder.hidden_dim,
-            "scorer_hidden": cfg.scorer_hidden,
-        },
-        "use_swap": cfg.use_swap,
+        "config": to_dict(model.config),
         "extra": extra_meta or {},
     }
     save_checkpoint(path, "dep_parser", meta, model.params.state_arrays())
@@ -301,20 +293,8 @@ def load_parser(path) -> DependencyParser:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "dep_parser":
         raise DataError(f"{path}: expected a dep_parser checkpoint, got {kind!r}")
-    dims = meta["dims"]
-    config = ParserConfig(
-        encoder=EncoderConfig(
-            word_dim=dims["word_dim"],
-            char_dim=dims["char_dim"],
-            char_emb_dim=dims["char_emb_dim"],
-            source_dim=dims["source_dim"],
-            hidden_dim=dims["hidden_dim"],
-        ),
-        scorer_hidden=dims["scorer_hidden"],
-        use_swap=meta["use_swap"],
-    )
     model = DependencyParser(
-        config,
+        from_dict(ParserConfig, meta.get("config"), f"{path} config", require_all=True),
         Vocabulary.from_meta(meta["vocab"]),
         labels=meta["labels"],
         members=meta["members"],

@@ -20,6 +20,7 @@ from .errors import DataError
 from .nn import AdditiveAttention, Affine, Embedding, LSTM, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .schema import from_dict, to_dict
 
 EOS = 0  # output index 0 ends the lemma; input index 0 is begin-of-sequence
 
@@ -244,24 +245,13 @@ def train_joint(
 
 
 def save_tagger(path, model: JointTagger, extra_meta: dict | None = None):
-    cfg = model.config
     meta = {
         "bundles": model.bundles,
         "lemma_chars": model.lemma_chars,
         "members": model.members,
         "seed": model.seed,
         "vocab": model.encoder.vocab.to_meta(),
-        "dims": {
-            "word_dim": cfg.encoder.word_dim,
-            "char_dim": cfg.encoder.char_dim,
-            "char_emb_dim": cfg.encoder.char_emb_dim,
-            "source_dim": cfg.encoder.source_dim,
-            "hidden_dim": cfg.encoder.hidden_dim,
-            "tag_embedding_dim": cfg.tag_embedding_dim,
-            "decoder_hidden": cfg.decoder_hidden,
-            "decoder_char_dim": cfg.decoder_char_dim,
-            "attention_hidden": cfg.attention_hidden,
-        },
+        "config": to_dict(model.config),
         "extra": extra_meta or {},
     }
     save_checkpoint(path, "joint_tagger", meta, model.params.state_arrays())
@@ -271,22 +261,8 @@ def load_tagger(path) -> JointTagger:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "joint_tagger":
         raise DataError(f"{path}: expected a joint_tagger checkpoint, got {kind!r}")
-    dims = meta["dims"]
-    config = TaggerConfig(
-        encoder=EncoderConfig(
-            word_dim=dims["word_dim"],
-            char_dim=dims["char_dim"],
-            char_emb_dim=dims["char_emb_dim"],
-            source_dim=dims["source_dim"],
-            hidden_dim=dims["hidden_dim"],
-        ),
-        tag_embedding_dim=dims["tag_embedding_dim"],
-        decoder_hidden=dims["decoder_hidden"],
-        decoder_char_dim=dims["decoder_char_dim"],
-        attention_hidden=dims["attention_hidden"],
-    )
     model = JointTagger(
-        config,
+        from_dict(TaggerConfig, meta.get("config"), f"{path} config", require_all=True),
         Vocabulary.from_meta(meta["vocab"]),
         bundles=meta["bundles"],
         lemma_chars=meta["lemma_chars"],

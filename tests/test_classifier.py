@@ -306,6 +306,31 @@ def test_model_checkpoint_rejects_bad_columns(tmp_path, tamper, message):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda m: m.update(hyper=[1.0, 10, 0.1]), "hyper must be a JSON object"),
+        (lambda m: m["hyper"].update(epochs="3"), "hyper: epochs must be int"),
+        (lambda m: m["ngram"].pop("feature_space_size"),
+         "ngram lacks required key 'feature_space_size'"),
+        (lambda m: m["ngram"].update(bogus=1), "unknown key 'bogus' in .*ngram"),
+    ],
+    ids=["positional-hyper", "wrong-type", "missing", "extra"],
+)
+def test_model_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
+    config, data = separable_data()
+    model = train_linear(data, config, FAST)
+    path = tmp_path / "clf.npz"
+    save_model(path, model)
+    assert load_model(path).hyper == model.hyper
+    kind, meta, arrays = load_checkpoint(path)
+    tamper(meta)
+    save_checkpoint(path, kind, meta, arrays)
+    with pytest.raises(DataError, match=message) as excinfo:
+        load_model(path)
+    assert "\n" not in str(excinfo.value)
+
+
 def test_jackknife_model_equals_fit_on_all_sentences():
     banks = disjoint_treebanks(10)
     config = NGramConfig(1, 1, 1, 2, SMALL_SPACE)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from multisrc.classifier import ClassifierHyper, NGramConfig, featurize, save_model, train_linear
 from multisrc.cli import main
 from multisrc.conllu import parse_conllu
+from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 from multisrc.synth import ambiguity_corpus, write_corpus
 
 TWO_TOKEN = (
@@ -220,6 +222,34 @@ def test_train_unknown_group_is_one_line_data_error(tmp_path, capsys):
                         "--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err == "error: DataError: unknown group 'nope'\n"
+
+
+@pytest.mark.parametrize("verb", [["classify", "train"], ["group"]])
+def test_unknown_group_is_one_line_data_error(tmp_path, capsys, verb):
+    write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                  n_conflict_dev=1, n_shared_dev=1),
+                 tmp_path / "data", group_id="amb")
+    code, _, err = run(verb + ["--config", str(tmp_path / "data" / "registry.json"),
+                               "--group-id", "nope", "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: DataError: unknown group 'nope'\n"
+
+
+def test_classify_predict_on_a_malformed_checkpoint_is_data_error(tmp_path, capsys):
+    ngram = NGramConfig(1, 1, 1, 2, 1024)
+    data = [(featurize(text, ngram), label) for text, label in (("aa", "a"), ("bb", "b"))]
+    model_path = tmp_path / "clf.npz"
+    save_model(model_path, train_linear(data, ngram, ClassifierHyper(epochs=2)))
+    kind, meta, arrays = load_checkpoint(model_path)
+    meta["hyper"] = [1.0, 2, 0.1]  # the positional layout of format version 1
+    save_checkpoint(model_path, kind, meta, arrays)
+    conllu = tmp_path / "in.conllu"
+    conllu.write_text(TWO_TOKEN)
+    code, _, err = run(["classify", "predict", "--model", str(model_path), "--in", str(conllu),
+                        "--source-id", "a", "--out", str(tmp_path / "preds.tsv")], capsys)
+    assert code == 2
+    assert err.startswith("error: DataError: ") and err.endswith("hyper must be a JSON object\n")
+    assert err.count("\n") == 1
 
 
 def test_pca_verb(tmp_path, capsys):

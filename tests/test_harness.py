@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,31 @@ def test_experiment_config_validation():
         ExperimentConfig(task="parse", group_id="g", settings=["bogus"])
     with pytest.raises(DataError, match="held_out_source"):
         ExperimentConfig(task="parse", group_id="g", mode="zero_shot")
+
+
+@pytest.mark.parametrize(
+    "section, path",
+    [
+        ({"classifier_hyper": {"epochs": "3"}}, "classifier_hyper.epochs"),
+        ({"trainer": {"epochs": "3"}}, "trainer.epochs"),
+        ({"trainer": {"epochs": True}}, "trainer.epochs"),
+        ({"trainer": {"clip_norm": "1"}}, "trainer.clip_norm"),
+        ({"seeds": "012"}, "seeds"),
+        ({"seeds": [0, "1"]}, "seeds[1]"),
+        ({"scorer_hidden": 2.5}, "scorer_hidden"),
+        ({"settings": "gold"}, "settings"),
+        ({"encoder": {"word_dim": None}}, "encoder.word_dim"),
+    ],
+)
+def test_experiment_config_from_dict_rejects_wrong_value_types(section, path):
+    with pytest.raises(DataError, match=rf"^experiment config: {re.escape(path)} must be ") as excinfo:
+        ExperimentConfig.from_dict({"task": "parse", "group_id": "g", **section})
+    assert "\n" not in str(excinfo.value)
+
+
+def test_experiment_config_from_dict_tagger_shares_the_encoder():
+    config = ExperimentConfig.from_dict({"task": "tag_lemma", "group_id": "g",
+                                         "encoder": {"word_dim": 8},
+                                         "tagger": {"decoder_hidden": 8}})
+    assert config.tagger.encoder is config.encoder
+    assert config.tagger == TaggerConfig(encoder=EncoderConfig(word_dim=8), decoder_hidden=8)

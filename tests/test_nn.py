@@ -306,3 +306,14 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     Affine(ps2, "l1", 3, 4)
     with pytest.raises(DataError, match="shape mismatch"):
         ps2.load_arrays(arrays)
+
+
+def test_checkpoint_of_another_format_version_rejected(tmp_path, monkeypatch):
+    from multisrc.nn import checkpoint
+
+    path = tmp_path / "old.npz"
+    monkeypatch.setattr(checkpoint, "FORMAT_VERSION", 1)
+    save_checkpoint(path, "dep_parser", {"dims": {}}, {})
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="unsupported checkpoint version 1$"):
+        load_checkpoint(path)

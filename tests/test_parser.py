@@ -7,6 +7,7 @@ from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
 from multisrc.errors import DataError
 from multisrc.metrics import las
 from multisrc.nn import TrainerConfig
+from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 from multisrc.parser_model import (
     DependencyParser,
     ParserConfig,
@@ -167,3 +168,25 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
         t2 = loaded.parse_sentence(sent, MODE_NONE)
         assert t1.heads == t2.heads
         assert t1.deprels == t2.deprels
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda m: m["config"].pop("scorer_hidden"), "config lacks required key 'scorer_hidden'"),
+        (lambda m: m["config"].pop("use_swap"), "config lacks required key 'use_swap'"),
+        (lambda m: m["config"]["encoder"].update(bogus=1), "unknown key 'bogus' in encoder"),
+        (lambda m: m["config"]["encoder"].update(word_dim="12"), "encoder.word_dim must be int"),
+        (lambda m: m.pop("config"), "config must be a JSON object"),
+    ],
+    ids=["missing", "missing-defaulted", "extra", "wrong-type", "no-config"],
+)
+def test_parser_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
+    path = tmp_path / "parser.npz"
+    save_parser(path, build_model(toy_corpus()))
+    kind, meta, arrays = load_checkpoint(path)
+    tamper(meta)
+    save_checkpoint(path, kind, meta, arrays)
+    with pytest.raises(DataError, match=message) as excinfo:
+        load_parser(path)
+    assert "\n" not in str(excinfo.value)

@@ -5,6 +5,7 @@ from multisrc.conllu import Sentence, Token, Treebank
 from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
 from multisrc.errors import DataError
 from multisrc.nn import TrainerConfig
+from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 from multisrc.tagger import (
     JointTagger,
     TaggerConfig,
@@ -197,3 +198,24 @@ def test_checkpoint_roundtrip_reproduces_annotations(tmp_path):
     loaded = load_tagger(tmp_path / "tagger.npz")
     for sent in tb.sentences[:4]:
         assert model.annotate_sentence(sent, MODE_NONE) == loaded.annotate_sentence(sent, MODE_NONE)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda m: m["config"].pop("decoder_hidden"), "config lacks required key 'decoder_hidden'"),
+        (lambda m: m["config"]["encoder"].pop("hidden_dim"), "encoder lacks required key 'hidden_dim'"),
+        (lambda m: m["config"].update(bogus=1), "unknown key 'bogus' in .*config"),
+        (lambda m: m["config"].update(attention_hidden=2.5), "attention_hidden must be int"),
+    ],
+    ids=["missing", "missing-nested", "extra", "wrong-type"],
+)
+def test_tagger_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
+    path = tmp_path / "tagger.npz"
+    save_tagger(path, build_model(identity_corpus()))
+    kind, meta, arrays = load_checkpoint(path)
+    tamper(meta)
+    save_checkpoint(path, kind, meta, arrays)
+    with pytest.raises(DataError, match=message) as excinfo:
+        load_tagger(path)
+    assert "\n" not in str(excinfo.value)
