@@ -311,6 +311,13 @@ def jackknife_labels(
     )
 
 
+@dataclass
+class ClassifierHeader:
+    """The classifier checkpoint's header keys beside `ngram` and `hyper`."""
+
+    class_ids: list[str]
+
+
 def save_model(path, model: LinearModel):
     """Write the biases and only the weight columns that are not all +0.0."""
     meta = {
@@ -331,9 +338,10 @@ def load_model(path) -> LinearModel:
     for name in ("columns", "weights", "biases"):
         if name not in arrays:
             raise DataError(f"{path}: source_classifier checkpoint has no {name!r} array")
+    class_ids = from_dict(ClassifierHeader, meta, f"{path} header", extra={"ngram", "hyper"},
+                          require_all=True).class_ids
     cfg = from_dict(NGramConfig, meta.get("ngram"), f"{path} ngram", require_all=True)
     hyper = from_dict(ClassifierHyper, meta.get("hyper"), f"{path} hyper", require_all=True)
-    class_ids = list(meta["class_ids"])
     # checkpoints hold float64 arrays, so the column indices come back as floats
     columns, block, biases = arrays["columns"], arrays["weights"], arrays["biases"]
     if columns.ndim != 1 or not np.array_equal(columns, np.trunc(columns)):

@@ -284,6 +284,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: DataError: missing file {exc.filename}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: DataError: input file is not UTF-8: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

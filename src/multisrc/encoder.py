@@ -47,6 +47,14 @@ class EncoderConfig:
 
 
 @dataclass
+class VocabularyMeta:
+    """A vocabulary as checkpoint headers store it: entries in id order."""
+
+    words: list[str]
+    chars: list[str]
+
+
+@dataclass
 class Vocabulary:
     words: dict[str, int] = field(default_factory=lambda: {UNK: 0})
     chars: dict[str, int] = field(default_factory=lambda: {UNK: 0})
@@ -68,14 +76,14 @@ class Vocabulary:
     def char_id(self, ch: str) -> int:
         return self.chars.get(ch, 0)
 
-    def to_meta(self) -> dict:
-        return {"words": list(self.words), "chars": list(self.chars)}
+    def to_meta(self) -> VocabularyMeta:
+        return VocabularyMeta(words=list(self.words), chars=list(self.chars))
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "Vocabulary":
+    def from_meta(cls, meta: VocabularyMeta) -> "Vocabulary":
         vocab = cls()
-        vocab.words = {w: i for i, w in enumerate(meta["words"])}
-        vocab.chars = {c: i for i, c in enumerate(meta["chars"])}
+        vocab.words = {w: i for i, w in enumerate(meta.words)}
+        vocab.chars = {c: i for i, c in enumerate(meta.chars)}
         return vocab
 
 

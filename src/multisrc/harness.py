@@ -16,7 +16,6 @@ read during training or classifier fitting.
 from __future__ import annotations
 
 import json
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .classifier import (
     save_model,
 )
 from .conllu import Sentence, Treebank, write_conllu
-from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig
+from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig, Vocabulary
 from .errors import DataError
 from .metrics import EvalResult, aggregate, las, lemma_accuracy, morph_f1
 from .nn import TrainerConfig
@@ -46,7 +45,6 @@ from .tagger import (
     save_tagger,
     train_joint,
 )
-from .encoder import Vocabulary
 from .trees import DependencyTree
 
 SETTINGS = ("base", "concat", "gold", "pred")
@@ -234,6 +232,16 @@ def _route_sentences(model, sentences: list[Sentence], ngram: NGramConfig) -> li
     return [predict_source(model, featurize(s.text, ngram))[0] for s in sentences]
 
 
+def _with_predicted_ids(treebanks: list[Treebank], source_ids: list[str]) -> list[Treebank]:
+    """New treebanks whose sentences carry `source_ids` (in order) as their
+    predicted source ids; they share their tokens with `treebanks`."""
+    ids = iter(source_ids)
+    return [
+        replace(tb, sentences=[replace(s, predicted_source_id=next(ids)) for s in tb.sentences])
+        for tb in treebanks
+    ]
+
+
 # -- in-dataset settings -----------------------------------------------------
 
 
@@ -255,7 +263,7 @@ def run_setting(
     if setting == "base":
         for member in group.members:
             with registry.phase("training"):
-                train_tb = deepcopy(registry.split(member, "train"))
+                train_tb = registry.split(member, "train")
             model = _train_model(config, [train_tb], [], MODE_NONE, seed)
             models[member] = model
             with registry.phase("evaluation"):
@@ -268,13 +276,14 @@ def run_setting(
         return CellOutcome(rows, predictions, models, routing)
 
     with registry.phase("training"):
-        train_banks = [deepcopy(registry.split(m, "train")) for m in group.members]
+        train_banks = [registry.split(m, "train") for m in group.members]
 
     jackknife_f1 = None
     if setting == "pred":
         with registry.phase("classifier"):
             jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
-        jackknife_f1 = _apply_jackknife(train_banks, jackknife.predictions)
+        jackknife_f1 = _jackknife_f1(train_banks, jackknife.predictions)
+        train_banks = _with_predicted_ids(train_banks, jackknife.predictions)
         models["classifier"] = jackknife.model
 
     encoder_mode = SETTING_ENCODER_MODE[setting]
@@ -285,12 +294,10 @@ def run_setting(
     for member in group.members:
         with registry.phase("evaluation"):
             gold_tb = eval_split(registry, member)
-        eval_tb = deepcopy(gold_tb)
+        eval_tb = gold_tb
         if setting == "pred":
-            routed = _route_sentences(models["classifier"], eval_tb.sentences, config.ngram)
-            routing[member] = routed
-            for sent, source in zip(eval_tb.sentences, routed):
-                sent.predicted_source_id = source
+            routing[member] = _route_sentences(models["classifier"], gold_tb.sentences, config.ngram)
+            (eval_tb,) = _with_predicted_ids([gold_tb], routing[member])
         predicted = _predict(model, eval_tb, encoder_mode)
         predictions[member] = predicted
         rows.extend(
@@ -299,13 +306,7 @@ def run_setting(
     return CellOutcome(rows, predictions, models, routing, classifier_f1=jackknife_f1)
 
 
-def _apply_jackknife(train_banks: list[Treebank], predictions: list[str]) -> float:
-    """Stamp the jack-knifed source ids on the training sentences; their macro F1."""
-    position = 0
-    for tb in train_banks:
-        for sent in tb.sentences:
-            sent.predicted_source_id = predictions[position]
-            position += 1
+def _jackknife_f1(train_banks: list[Treebank], predictions: list[str]) -> float:
     gold_labels = [tb.source_id for tb in train_banks for _ in tb.sentences]
     return macro_f1(gold_labels, predictions)
 
@@ -348,10 +349,11 @@ def run_zero_shot(
     remaining = [m for m in group.members if m != held_out]
 
     with registry.phase("training"):
-        train_banks = [deepcopy(registry.split(m, "train")) for m in remaining]
+        train_banks = [registry.split(m, "train") for m in remaining]
     with registry.phase("classifier"):
         jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
-    jackknife_f1 = _apply_jackknife(train_banks, jackknife.predictions)
+    jackknife_f1 = _jackknife_f1(train_banks, jackknife.predictions)
+    train_banks = _with_predicted_ids(train_banks, jackknife.predictions)
     classifier = jackknife.model
 
     concat_model = _train_model(config, train_banks, [], MODE_NONE, seed)
@@ -363,12 +365,10 @@ def run_zero_shot(
 
     with registry.phase("evaluation"):
         gold_tb = eval_split(registry, held_out)
-    eval_tb = deepcopy(gold_tb)
-    routed = _route_sentences(classifier, eval_tb.sentences, config.ngram)
+    routed = _route_sentences(classifier, gold_tb.sentences, config.ngram)
     if any(route not in remaining for route in routed):
         raise DataError("classifier routed a sentence outside the remaining members")
-    for sent, source in zip(eval_tb.sentences, routed):
-        sent.predicted_source_id = source
+    (eval_tb,) = _with_predicted_ids([gold_tb], routed)
 
     rows: list[ResultRow] = []
     predictions: dict[str, Treebank] = {}
@@ -503,7 +503,10 @@ def load_experiment_file(path: str | Path) -> tuple[Registry, ExperimentConfig]:
     from .registry import load_registry
 
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"bad experiment config {path}: {exc}") from exc
     config = ExperimentConfig.from_dict(raw)
     if not isinstance(raw.get("registry"), str):
         raise DataError("experiment config must name a registry file")

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DataError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _META_KEY = "__meta__"
 
 

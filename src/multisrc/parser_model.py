@@ -10,13 +10,12 @@ model's own argmax with a small probability after a burn-in epoch.
 
 from __future__ import annotations
 
-from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conllu import Sentence, Treebank
-from .encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary
+from .encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta
 from .errors import DataError
 from .nn import Affine, Embedding, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
@@ -138,10 +137,10 @@ class DependencyParser:
 
     def parse_treebank(self, treebank: Treebank, mode: str = MODE_NONE) -> Treebank:
         """Copy of the treebank with predicted heads and labels."""
-        out = deepcopy(treebank)
-        for original, copy in zip(treebank.sentences, out.sentences):
+        out = [replace(sent, tokens=[replace(tok) for tok in sent.tokens]) for sent in treebank.sentences]
+        for original, copy in zip(treebank.sentences, out):
             attach_tree(copy, self.parse_sentence(original, mode))
-        return out
+        return replace(treebank, sentences=out)
 
 
 def label_inventory(data: list[tuple[Sentence, DependencyTree]]) -> list[str]:
@@ -277,15 +276,19 @@ def _kind_indices(model, kind):
 # -- persistence ---------------------------------------------------------------
 
 
-def save_parser(path, model: DependencyParser, extra_meta: dict | None = None):
-    meta = {
-        "labels": model.labels,
-        "members": model.members,
-        "seed": model.seed,
-        "vocab": model.encoder.vocab.to_meta(),
-        "config": to_dict(model.config),
-        "extra": extra_meta or {},
-    }
+@dataclass
+class ParserHeader:
+    """The parser checkpoint's header keys beside its `config`."""
+
+    labels: list[str]
+    members: list[str]
+    seed: int
+    vocab: VocabularyMeta
+
+
+def save_parser(path, model: DependencyParser):
+    header = ParserHeader(model.labels, model.members, model.seed, model.encoder.vocab.to_meta())
+    meta = {**to_dict(header), "config": to_dict(model.config)}
     save_checkpoint(path, "dep_parser", meta, model.params.state_arrays())
 
 
@@ -293,12 +296,13 @@ def load_parser(path) -> DependencyParser:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "dep_parser":
         raise DataError(f"{path}: expected a dep_parser checkpoint, got {kind!r}")
+    header = from_dict(ParserHeader, meta, f"{path} header", extra={"config"}, require_all=True)
     model = DependencyParser(
         from_dict(ParserConfig, meta.get("config"), f"{path} config", require_all=True),
-        Vocabulary.from_meta(meta["vocab"]),
-        labels=meta["labels"],
-        members=meta["members"],
-        seed=meta["seed"],
+        Vocabulary.from_meta(header.vocab),
+        labels=header.labels,
+        members=header.members,
+        seed=header.seed,
     )
     model.params.load_arrays(arrays)
     return model

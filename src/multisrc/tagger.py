@@ -9,13 +9,12 @@ training, predicted bundle at inference).
 
 from __future__ import annotations
 
-from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conllu import Sentence, Treebank
-from .encoder import EncoderConfig, SentenceEncoder, Vocabulary
+from .encoder import EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta
 from .errors import DataError
 from .nn import AdditiveAttention, Affine, Embedding, LSTM, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
@@ -175,12 +174,12 @@ class JointTagger:
         return output
 
     def annotate_treebank(self, treebank: Treebank, mode: str) -> Treebank:
-        out = deepcopy(treebank)
-        for original, copy in zip(treebank.sentences, out.sentences):
-            for tok, (bundle, lemma) in zip(copy.tokens, self.annotate_sentence(original, mode)):
-                tok.morph = bundle_features(bundle)
-                tok.lemma = lemma
-        return out
+        out = []
+        for sent in treebank.sentences:
+            pairs = zip(sent.tokens, self.annotate_sentence(sent, mode))
+            tokens = [replace(t, morph=bundle_features(b), lemma=lemma) for t, (b, lemma) in pairs]
+            out.append(replace(sent, tokens=tokens))
+        return replace(treebank, sentences=out)
 
 
 def bundle_inventory(treebanks: list[Treebank]) -> list[str]:
@@ -244,16 +243,21 @@ def train_joint(
 # -- persistence ---------------------------------------------------------------
 
 
-def save_tagger(path, model: JointTagger, extra_meta: dict | None = None):
-    meta = {
-        "bundles": model.bundles,
-        "lemma_chars": model.lemma_chars,
-        "members": model.members,
-        "seed": model.seed,
-        "vocab": model.encoder.vocab.to_meta(),
-        "config": to_dict(model.config),
-        "extra": extra_meta or {},
-    }
+@dataclass
+class TaggerHeader:
+    """The tagger checkpoint's header keys beside its `config`."""
+
+    bundles: list[str]
+    lemma_chars: list[str]
+    members: list[str]
+    seed: int
+    vocab: VocabularyMeta
+
+
+def save_tagger(path, model: JointTagger):
+    header = TaggerHeader(model.bundles, model.lemma_chars, model.members, model.seed,
+                          model.encoder.vocab.to_meta())
+    meta = {**to_dict(header), "config": to_dict(model.config)}
     save_checkpoint(path, "joint_tagger", meta, model.params.state_arrays())
 
 
@@ -261,13 +265,14 @@ def load_tagger(path) -> JointTagger:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "joint_tagger":
         raise DataError(f"{path}: expected a joint_tagger checkpoint, got {kind!r}")
+    header = from_dict(TaggerHeader, meta, f"{path} header", extra={"config"}, require_all=True)
     model = JointTagger(
         from_dict(TaggerConfig, meta.get("config"), f"{path} config", require_all=True),
-        Vocabulary.from_meta(meta["vocab"]),
-        bundles=meta["bundles"],
-        lemma_chars=meta["lemma_chars"],
-        members=meta["members"],
-        seed=meta["seed"],
+        Vocabulary.from_meta(header.vocab),
+        bundles=header.bundles,
+        lemma_chars=header.lemma_chars,
+        members=header.members,
+        seed=header.seed,
     )
     model.params.load_arrays(arrays)
     return model

@@ -314,8 +314,12 @@ def test_model_checkpoint_rejects_bad_columns(tmp_path, tamper, message):
         (lambda m: m["ngram"].pop("feature_space_size"),
          "ngram lacks required key 'feature_space_size'"),
         (lambda m: m["ngram"].update(bogus=1), "unknown key 'bogus' in .*ngram"),
+        (lambda m: m.pop("class_ids"), "header lacks required key 'class_ids'"),
+        (lambda m: m.update(class_ids="ab"), "header: class_ids must be list"),
+        (lambda m: m.update(bogus=1), "unknown key 'bogus' in .*header"),
     ],
-    ids=["positional-hyper", "wrong-type", "missing", "extra"],
+    ids=["positional-hyper", "wrong-type", "missing", "extra",
+         "no-class-ids", "string-class-ids", "extra-header-key"],
 )
 def test_model_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
     config, data = separable_data()

@@ -235,6 +235,44 @@ def test_unknown_group_is_one_line_data_error(tmp_path, capsys, verb):
     assert err == "error: DataError: unknown group 'nope'\n"
 
 
+NOT_UTF8 = b"\xff\xfe# not UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "bad_file, content, argv, message",
+    [
+        ("exp.json", b"{", ["train", "--config", "{exp}", "--setting", "concat"],
+         "bad experiment config"),
+        ("exp.json", NOT_UTF8, ["train", "--config", "{exp}", "--setting", "concat"],
+         "not UTF-8"),
+        ("data/registry.json", NOT_UTF8, ["group", "--config", "{registry}"], "not UTF-8"),
+        ("data/dialect_a-train.conllu", NOT_UTF8, ["group", "--config", "{registry}"],
+         "not UTF-8"),
+        ("data/dialect_a-dev.conllu", NOT_UTF8,
+         ["eval", "--gold", "{data}/dialect_a-dev.conllu", "--pred", "{data}/dialect_b-dev.conllu",
+          "--metric", "las"], "not UTF-8"),
+    ],
+    ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu"],
+)
+def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
+                                                     message):
+    registry = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                             n_conflict_dev=1, n_shared_dev=1),
+                            tmp_path / "data", group_id="amb")
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"registry": "data/registry.json", "task": "parse",
+                               "group_id": "amb"}))
+    (tmp_path / bad_file).write_bytes(content)
+    paths = {"exp": exp, "registry": registry, "data": tmp_path / "data"}
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] != "eval":
+        argv += ["--out", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: DataError: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_classify_predict_on_a_malformed_checkpoint_is_data_error(tmp_path, capsys):
     ngram = NGramConfig(1, 1, 1, 2, 1024)
     data = [(featurize(text, ngram), label) for text, label in (("aa", "a"), ("bb", "b"))]

@@ -1,9 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multisrc.classifier import ClassifierHyper, NGramConfig
+from multisrc.conllu import write_conllu
 from multisrc.encoder import EncoderConfig
 from multisrc.errors import DataError
 from multisrc.harness import (
@@ -166,6 +168,44 @@ def test_zero_shot_isolation_routing_and_rows():
     assert settings == {"concat", "pred"}
     assert all(r.mode == "zero_shot" for r in outcome.rows)
     assert all(r.source_id == "style_mix" for r in outcome.rows)
+
+
+def registry_snapshot(registry):
+    """Every split's CoNLL-U text and predicted source ids."""
+    return {
+        (source_id, split): (write_conllu(tb), [s.predicted_source_id for s in tb.sentences])
+        for source_id, source in registry.sources.items()
+        for split in ("train", "dev", "test")
+        if (tb := getattr(source, split)) is not None
+    }
+
+
+@pytest.mark.parametrize("task", ["parse", "tag_lemma"])
+def test_cells_leave_the_registry_untouched(task):
+    registry = mixture_registry()
+    group = registry.groups["mix"]
+    one_epoch = replace(TINY_TRAINER, epochs=1)
+    config = tiny_config(task=task, group_id="mix", trainer=one_epoch)
+    before = registry_snapshot(registry)
+    registry_objects = {
+        id(obj)
+        for source in registry.sources.values()
+        for tb in (source.train, source.dev)
+        for sent in tb.sentences
+        for obj in (sent, *sent.tokens)
+    }
+    # zero-shot first: the in-dataset cells read the held-out source's train split
+    zero_shot = tiny_config(task=task, group_id="mix", trainer=one_epoch, mode="zero_shot",
+                            held_out_source="style_mix")
+    outcomes = [run_zero_shot(registry, group, zero_shot, seed=0)]
+    outcomes += [run_setting(registry, group, config, setting, seed=0)
+                 for setting in ("base", "concat", "gold", "pred")]
+    assert registry_snapshot(registry) == before
+    for outcome in outcomes:
+        for predicted in outcome.predictions.values():
+            for sent in predicted.sentences:
+                assert id(sent) not in registry_objects
+                assert not any(id(tok) in registry_objects for tok in sent.tokens)
 
 
 def test_zero_shot_experiment_reports_jackknife_f1_in_filters(tmp_path):

@@ -161,7 +161,7 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
     model = build_model(data)
     train_parser(model, data, MODE_NONE, trainer(5))
     path = tmp_path / "parser.npz"
-    save_parser(path, model, {"note": "test"})
+    save_parser(path, model)
     loaded = load_parser(path)
     for sent, _ in data:
         t1 = model.parse_sentence(sent, MODE_NONE)
@@ -178,8 +178,13 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
         (lambda m: m["config"]["encoder"].update(bogus=1), "unknown key 'bogus' in encoder"),
         (lambda m: m["config"]["encoder"].update(word_dim="12"), "encoder.word_dim must be int"),
         (lambda m: m.pop("config"), "config must be a JSON object"),
+        (lambda m: m.pop("vocab"), "header lacks required key 'vocab'"),
+        (lambda m: m["vocab"].pop("chars"), "header: vocab lacks required key 'chars'"),
+        (lambda m: m.pop("labels"), "header lacks required key 'labels'"),
+        (lambda m: m.update(seed="0"), "header: seed must be int, got '0'"),
     ],
-    ids=["missing", "missing-defaulted", "extra", "wrong-type", "no-config"],
+    ids=["missing", "missing-defaulted", "extra", "wrong-type", "no-config",
+         "no-vocab", "no-vocab-chars", "no-labels", "string-seed"],
 )
 def test_parser_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
     path = tmp_path / "parser.npz"

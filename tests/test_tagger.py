@@ -207,8 +207,13 @@ def test_checkpoint_roundtrip_reproduces_annotations(tmp_path):
         (lambda m: m["config"]["encoder"].pop("hidden_dim"), "encoder lacks required key 'hidden_dim'"),
         (lambda m: m["config"].update(bogus=1), "unknown key 'bogus' in .*config"),
         (lambda m: m["config"].update(attention_hidden=2.5), "attention_hidden must be int"),
+        (lambda m: m.pop("vocab"), "header lacks required key 'vocab'"),
+        (lambda m: m.pop("bundles"), "header lacks required key 'bundles'"),
+        (lambda m: m["lemma_chars"].append(7), r"header: lemma_chars\[\d+\] must be str"),
+        (lambda m: m.update(seed="0"), "header: seed must be int, got '0'"),
     ],
-    ids=["missing", "missing-nested", "extra", "wrong-type"],
+    ids=["missing", "missing-nested", "extra", "wrong-type",
+         "no-vocab", "no-bundles", "int-lemma-char", "string-seed"],
 )
 def test_tagger_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
     path = tmp_path / "tagger.npz"
