@@ -171,7 +171,8 @@ def parse_conllu(text: str, source_id: str | None = None, split: str = "train") 
         morph = set()
         if cols[5] != _EMPTY:
             for entry in cols[5].split("|"):
-                if entry.count("=") != 1:
+                # ';' joins the features of a tagger bundle
+                if entry.count("=") != 1 or ";" in entry:
                     raise ConlluParseError(f"malformed FEATS entry {entry!r}", line_no)
                 morph.add(entry)
         misc = {}

@@ -216,12 +216,6 @@ def _train_model(config: ExperimentConfig, treebanks, members, encoder_mode, see
     return model
 
 
-def _predict(model, treebank: Treebank, encoder_mode: str) -> Treebank:
-    if isinstance(model, DependencyParser):
-        return model.parse_treebank(treebank, encoder_mode)
-    return model.annotate_treebank(treebank, encoder_mode)
-
-
 def _evaluate(task: str, gold: Treebank, predicted: Treebank) -> list[EvalResult]:
     if task == "parse":
         return [las(gold, predicted)]
@@ -242,73 +236,51 @@ def _with_predicted_ids(treebanks: list[Treebank], source_ids: list[str]) -> lis
     ]
 
 
-# -- in-dataset settings -----------------------------------------------------
+def _jackknife_f1(train_banks: list[Treebank], predictions: list[str]) -> float:
+    gold_labels = [tb.source_id for tb in train_banks for _ in tb.sentences]
+    return macro_f1(gold_labels, predictions)
 
 
-def run_setting(
-    registry: Registry,
-    group: DatasetGroup,
-    config: ExperimentConfig,
-    setting: str,
-    seed: int,
-) -> CellOutcome:
-    """Train and evaluate one setting for one seed over a dataset group."""
-    if setting not in SETTINGS:
-        raise DataError(f"unknown setting {setting!r}")
-    rows: list[ResultRow] = []
-    predictions: dict[str, Treebank] = {}
-    models: dict[str, object] = {}
-    routing: dict[str, list[str]] = {}
+# -- one fit path and one predict path for every cell ----------------------------
 
-    if setting == "base":
-        for member in group.members:
-            with registry.phase("training"):
-                train_tb = registry.split(member, "train")
-            model = _train_model(config, [train_tb], [], MODE_NONE, seed)
-            models[member] = model
-            with registry.phase("evaluation"):
-                gold_tb = eval_split(registry, member)
-            predicted = _predict(model, gold_tb, MODE_NONE)
-            predictions[member] = predicted
-            rows.extend(
-                _rows_for(config, group, member, setting, seed, _evaluate(config.task, gold_tb, predicted))
-            )
-        return CellOutcome(rows, predictions, models, routing)
 
+def _fit(registry: Registry, config: ExperimentConfig, setting: str, members: list[str], seed: int):
+    """Train `setting`'s model on the train splits of `members`.
+
+    Returns (model, classifier, jackknife_f1); the last two are None
+    outside pred, whose model trains on jack-knifed predicted ids.
+    """
     with registry.phase("training"):
-        train_banks = [registry.split(m, "train") for m in group.members]
-
-    jackknife_f1 = None
+        train_banks = [registry.split(m, "train") for m in members]
+    classifier = jackknife_f1 = None
     if setting == "pred":
         with registry.phase("classifier"):
             jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
         jackknife_f1 = _jackknife_f1(train_banks, jackknife.predictions)
         train_banks = _with_predicted_ids(train_banks, jackknife.predictions)
-        models["classifier"] = jackknife.model
-
-    encoder_mode = SETTING_ENCODER_MODE[setting]
-    members = group.members if setting in ("gold", "pred") else []
-    model = _train_model(config, train_banks, members, encoder_mode, seed)
-    models["model"] = model
-
-    for member in group.members:
-        with registry.phase("evaluation"):
-            gold_tb = eval_split(registry, member)
-        eval_tb = gold_tb
-        if setting == "pred":
-            routing[member] = _route_sentences(models["classifier"], gold_tb.sentences, config.ngram)
-            (eval_tb,) = _with_predicted_ids([gold_tb], routing[member])
-        predicted = _predict(model, eval_tb, encoder_mode)
-        predictions[member] = predicted
-        rows.extend(
-            _rows_for(config, group, member, setting, seed, _evaluate(config.task, gold_tb, predicted))
-        )
-    return CellOutcome(rows, predictions, models, routing, classifier_f1=jackknife_f1)
+        classifier = jackknife.model
+    sources = members if setting in ("gold", "pred") else []
+    model = _train_model(config, train_banks, sources, SETTING_ENCODER_MODE[setting], seed)
+    return model, classifier, jackknife_f1
 
 
-def _jackknife_f1(train_banks: list[Treebank], predictions: list[str]) -> float:
-    gold_labels = [tb.source_id for tb in train_banks for _ in tb.sentences]
-    return macro_f1(gold_labels, predictions)
+def _predict_split(registry: Registry, config: ExperimentConfig, model, setting: str,
+                   classifier, source_id: str):
+    """Predict `source_id`'s evaluation split; with a classifier, its routes
+    become the sentences' predicted ids first.
+
+    Returns (gold treebank, predicted treebank, routes or None).
+    """
+    with registry.phase("evaluation"):
+        gold_tb = eval_split(registry, source_id)
+    eval_tb, routed = gold_tb, None
+    if classifier is not None:
+        routed = _route_sentences(classifier, gold_tb.sentences, config.ngram)
+        (eval_tb,) = _with_predicted_ids([gold_tb], routed)
+    mode = SETTING_ENCODER_MODE[setting]
+    if isinstance(model, DependencyParser):
+        return gold_tb, model.parse_treebank(eval_tb, mode), routed
+    return gold_tb, model.annotate_treebank(eval_tb, mode), routed
 
 
 def _rows_for(config, group, member, setting, seed, results, mode=None):
@@ -328,6 +300,38 @@ def _rows_for(config, group, member, setting, seed, results, mode=None):
     ]
 
 
+# -- in-dataset settings -----------------------------------------------------
+
+
+def run_setting(
+    registry: Registry,
+    group: DatasetGroup,
+    config: ExperimentConfig,
+    setting: str,
+    seed: int,
+) -> CellOutcome:
+    """Train and evaluate one setting for one seed over a dataset group:
+    base fits one model per member, the pooled settings one on all."""
+    if setting not in SETTINGS:
+        raise DataError(f"unknown setting {setting!r}")
+    outcome = CellOutcome([], {}, {})
+    pools = [[m] for m in group.members] if setting == "base" else [group.members]
+    for pool in pools:
+        model, classifier, outcome.classifier_f1 = _fit(registry, config, setting, pool, seed)
+        outcome.models[pool[0] if setting == "base" else "model"] = model
+        if classifier is not None:
+            outcome.models["classifier"] = classifier
+        for member in pool:
+            gold_tb, predicted, routed = _predict_split(registry, config, model, setting, classifier, member)
+            outcome.predictions[member] = predicted
+            if routed is not None:
+                outcome.routing[member] = routed
+            outcome.rows.extend(
+                _rows_for(config, group, member, setting, seed, _evaluate(config.task, gold_tb, predicted))
+            )
+    return outcome
+
+
 # -- zero-shot ------------------------------------------------------------------
 
 
@@ -339,7 +343,8 @@ def run_zero_shot(
 ) -> CellOutcome:
     """Hold one source out; route its dev sentences to proxy sources.
 
-    Only concat and pred apply: base and gold need in-source data.
+    Only concat and pred apply: base and gold need in-source data.  Both
+    are the pooled settings fit on the remaining members.
     """
     held_out = config.held_out_source
     if len(group.members) < 3:
@@ -348,49 +353,27 @@ def run_zero_shot(
         raise DataError(f"held-out source {held_out!r} not in group {group.group_id!r}")
     remaining = [m for m in group.members if m != held_out]
 
-    with registry.phase("training"):
-        train_banks = [registry.split(m, "train") for m in remaining]
-    with registry.phase("classifier"):
-        jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
-    jackknife_f1 = _jackknife_f1(train_banks, jackknife.predictions)
-    train_banks = _with_predicted_ids(train_banks, jackknife.predictions)
-    classifier = jackknife.model
-
-    concat_model = _train_model(config, train_banks, [], MODE_NONE, seed)
-    pred_model = _train_model(config, train_banks, remaining, MODE_PRED, seed)
-
+    fits = {setting: _fit(registry, config, setting, remaining, seed) for setting in ("concat", "pred")}
     leaked = registry.accessed(held_out, phases={"training", "classifier"})
     if leaked:
         raise DataError(f"zero-shot isolation violated: {leaked}")
 
-    with registry.phase("evaluation"):
-        gold_tb = eval_split(registry, held_out)
-    routed = _route_sentences(classifier, gold_tb.sentences, config.ngram)
-    if any(route not in remaining for route in routed):
-        raise DataError("classifier routed a sentence outside the remaining members")
-    (eval_tb,) = _with_predicted_ids([gold_tb], routed)
-
-    rows: list[ResultRow] = []
-    predictions: dict[str, Treebank] = {}
-    concat_predicted = _predict(concat_model, eval_tb, MODE_NONE)
-    predictions["concat"] = concat_predicted
-    rows.extend(
-        _rows_for(config, group, held_out, "concat", seed,
-                  _evaluate(config.task, gold_tb, concat_predicted), mode="zero_shot")
-    )
-    pred_predicted = _predict(pred_model, eval_tb, MODE_PRED)
-    predictions["pred"] = pred_predicted
-    rows.extend(
-        _rows_for(config, group, held_out, "pred", seed,
-                  _evaluate(config.task, gold_tb, pred_predicted), mode="zero_shot")
-    )
-    return CellOutcome(
-        rows,
-        predictions,
-        {"concat": concat_model, "pred": pred_model, "classifier": classifier},
-        routing={held_out: routed},
-        classifier_f1=jackknife_f1,
-    )
+    outcome = CellOutcome([], {}, {})
+    for setting, (model, classifier, jackknife_f1) in fits.items():
+        gold_tb, predicted, routed = _predict_split(registry, config, model, setting, classifier, held_out)
+        if classifier is not None:
+            if any(route not in remaining for route in routed):
+                raise DataError("classifier routed a sentence outside the remaining members")
+            outcome.models["classifier"] = classifier
+            outcome.routing[held_out] = routed
+            outcome.classifier_f1 = jackknife_f1
+        outcome.models[setting] = model
+        outcome.predictions[setting] = predicted
+        outcome.rows.extend(
+            _rows_for(config, group, held_out, setting, seed,
+                      _evaluate(config.task, gold_tb, predicted), mode="zero_shot")
+        )
+    return outcome
 
 
 # -- reports --------------------------------------------------------------------

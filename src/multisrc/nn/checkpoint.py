@@ -25,12 +25,19 @@ def save_checkpoint(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Return (kind, meta, arrays); raises DataError on bad version."""
+    """Return (kind, meta, arrays); raises DataError on a bad header or version."""
     with np.load(path, allow_pickle=False) as data:
         if _META_KEY not in data:
             raise DataError(f"{path}: not a model checkpoint (missing header)")
-        header = json.loads(bytes(data[_META_KEY].tobytes()).decode())
+        try:
+            header = json.loads(data[_META_KEY].tobytes())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: checkpoint header is not JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+        if not isinstance(header.get("kind"), str) or not isinstance(header.get("meta"), dict):
+            raise DataError(f"{path}: checkpoint header needs a string kind and an object meta")
         arrays = {name: data[name] for name in data.files if name != _META_KEY}
     return header["kind"], header["meta"], arrays

@@ -90,17 +90,8 @@ class DependencyParser:
         return Transition(RIGHT_ARC, self.labels[index - len(self.labels)])
 
     def legal_indices(self, state: ParserState) -> list[int]:
-        kinds = legal_transitions(state)
-        if not self.config.use_swap and SWAP in kinds:
-            kinds.remove(SWAP)
-        indices = []
-        for kind in kinds:
-            if kind in ARC_KINDS:
-                base = 2 if kind == LEFT_ARC else 2 + len(self.labels)
-                indices.extend(range(base, base + len(self.labels)))
-            else:
-                indices.append(self.index_of(kind))
-        return indices
+        kinds = [k for k in legal_transitions(state) if self.config.use_swap or k != SWAP]
+        return [i for kind in kinds for i in _kind_indices(self, kind)]
 
     # -- scoring ------------------------------------------------------------
 
@@ -196,10 +187,8 @@ def _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch):
     while not state.is_terminal():
         scores = model.score_transitions(state, encodings)
         costs = oracle.costs(state)
-        allowed_kinds = oracle.allowed(state)
         if not model.config.use_swap:
             costs.pop(SWAP, None)
-            allowed_kinds = [k for k in allowed_kinds if k != SWAP]
         zero_idx, costly_idx = _partition_indices(model, state, gold, costs)
         if zero_idx and costly_idx:
             margin = T.add(
@@ -208,11 +197,11 @@ def _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch):
             )
             if float(margin.data) > 0.0:
                 losses.append(T.relu(margin))
-        kind, label = _choose_transition(
-            model, state, gold, scores.data, costs, allowed_kinds, zero_idx, explore, rng, trainer
+        transition = _choose_transition(
+            model, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng, trainer
         )
-        oracle.advance(state, kind)
-        state = apply_transition(state, Transition(kind, label))
+        oracle.advance(state, transition.kind)
+        state = apply_transition(state, transition)
     return losses
 
 
@@ -225,45 +214,25 @@ def _partition_indices(model, state, gold, costs):
     """
     zero_idx, costly_idx = [], []
     for kind, cost in costs.items():
-        if kind not in (SHIFT, SWAP) and kind not in ARC_KINDS:
-            continue
+        labels, gold_label = [None], None
         if kind in ARC_KINDS:
-            base = 2 if kind == LEFT_ARC else 2 + len(model.labels)
-            gold_label = gold.deprel_of(state.stack[-1])
-            for li, label in enumerate(model.labels):
-                if cost == 0 and label == gold_label:
-                    zero_idx.append(base + li)
-                else:
-                    costly_idx.append(base + li)
-        else:
-            index = model.index_of(kind)
-            (zero_idx if cost == 0 else costly_idx).append(index)
+            labels, gold_label = model.labels, gold.deprel_of(state.stack[-1])
+        for index, label in zip(_kind_indices(model, kind), labels):
+            (zero_idx if cost == 0 and label == gold_label else costly_idx).append(index)
     return zero_idx, costly_idx
 
 
-def _choose_transition(model, state, gold, score_values, costs, allowed_kinds, zero_idx, explore, rng, trainer):
+def _choose_transition(model, score_values, costs, allowed_kinds, zero_idx, explore, rng, trainer) -> Transition:
     if explore and rng.random() < trainer.explore_probability:
-        candidate_indices = [
-            i
-            for kind in allowed_kinds
-            for i in _kind_indices(model, kind)
-        ]
-        best = max(candidate_indices, key=lambda i: (score_values[i], -i))
-        transition = model.transition_at(best)
-        return transition.kind, transition.label
-    # oracle move: model-preferred among the zero-cost transitions
-    if zero_idx:
-        best = max(zero_idx, key=lambda i: (score_values[i], -i))
-        transition = model.transition_at(best)
-        return transition.kind, transition.label
-    # every option is costly (possible off the oracle path): take the
-    # cheapest kind, best-scored label
-    kind = min(allowed_kinds, key=lambda k: (costs[k], k))
-    if kind in ARC_KINDS:
-        best = max(_kind_indices(model, kind), key=lambda i: (score_values[i], -i))
-        transition = model.transition_at(best)
-        return transition.kind, transition.label
-    return kind, None
+        candidates = [i for kind in allowed_kinds for i in _kind_indices(model, kind)]
+    elif zero_idx:
+        # oracle move: model-preferred among the zero-cost transitions
+        candidates = zero_idx
+    else:
+        # every option is costly (possible off the oracle path): take the
+        # cheapest kind, best-scored label
+        candidates = _kind_indices(model, min(allowed_kinds, key=lambda k: (costs[k], k)))
+    return model.transition_at(max(candidates, key=lambda i: (score_values[i], -i)))
 
 
 def _kind_indices(model, kind):

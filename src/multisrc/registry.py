@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import Treebank, parse_conllu
 from .errors import DataError
+from .schema import from_dict
 
 SMALL_WORD_LIMIT = 30_000
 SVM_F1_THRESHOLD = 0.95
@@ -135,31 +136,50 @@ class Registry:
         ]
 
 
+@dataclass
+class SourceEntry:
+    """One `sources` entry of a registry file; split paths are relative to the file."""
+
+    id: str
+    language: str
+    train: str | None = None
+    dev: str | None = None
+    test: str | None = None
+
+
+@dataclass
+class GroupEntry:
+    id: str
+    members: list[str]
+    strategy: str = "manual"
+
+
+@dataclass
+class RegistryFile:
+    sources: list[SourceEntry] = field(default_factory=list)
+    groups: list[GroupEntry] = field(default_factory=list)
+
+
 def load_registry(config_path: str | Path) -> Registry:
     """Load a registry from a JSON config; paths resolve relative to it."""
     config_path = Path(config_path)
     base = config_path.parent
     try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"bad registry config {config_path}: {exc}") from exc
+    config = from_dict(RegistryFile, raw, f"registry config {config_path}")
     registry = Registry()
-    for entry in config.get("sources", []):
-        source_id = entry["id"]
+    for entry in config.sources:
         splits = {}
         for split in SPLITS:
-            if split in entry and entry[split] is not None:
-                text = (base / entry[split]).read_text(encoding="utf-8")
-                splits[split] = parse_conllu(text, source_id, split=split)
-        registry.add_source(DataSource(source_id=source_id, language=entry["language"], **splits))
-    for entry in config.get("groups", []):
-        registry.add_group(
-            DatasetGroup(
-                group_id=entry["id"],
-                members=list(entry["members"]),
-                strategy=entry.get("strategy", "manual"),
-            )
-        )
+            path = getattr(entry, split)
+            if path is not None:
+                text = (base / path).read_text(encoding="utf-8")
+                splits[split] = parse_conllu(text, entry.id, split=split)
+        registry.add_source(DataSource(source_id=entry.id, language=entry.language, **splits))
+    for entry in config.groups:
+        registry.add_group(DatasetGroup(group_id=entry.id, members=entry.members, strategy=entry.strategy))
     return registry
 
 

@@ -251,8 +251,16 @@ NOT_UTF8 = b"\xff\xfe# not UTF-8\n"
         ("data/dialect_a-dev.conllu", NOT_UTF8,
          ["eval", "--gold", "{data}/dialect_a-dev.conllu", "--pred", "{data}/dialect_b-dev.conllu",
           "--metric", "las"], "not UTF-8"),
+        ("data/registry.json", b'{"sources": [{"language": "syn"}]}', ["group", "--config", "{registry}"],
+         "sources[0] lacks required key 'id'"),
+        ("data/registry.json", b"[]", ["group", "--config", "{registry}"], "must be a JSON object"),
+        ("data/registry.json",
+         b'{"sources": [{"id": "a", "language": "syn"}, {"id": "b", "language": "syn"}],'
+         b' "groups": [{"id": "g", "members": "ab"}]}',
+         ["group", "--config", "{registry}"], "groups[0].members must be list, got 'ab'"),
     ],
-    ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu"],
+    ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
+         "group-source-without-id", "group-registry-list", "group-members-string"],
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):

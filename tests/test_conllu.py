@@ -46,6 +46,9 @@ def test_parse_errors():
     dup = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n1\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n\n"
     with pytest.raises(ConlluParseError, match="duplicate token id"):
         parse_conllu(dup, "x")
+    # ';' joins a tagger bundle's features, so it cannot sit inside one
+    with pytest.raises(ConlluParseError, match=r"line 2: malformed FEATS entry 'A=x;y'"):
+        parse_conllu("# c\n1\ta\t_\t_\t_\tA=x;y\t0\troot\t_\t_\n\n", "x")
 
 
 def test_headless_sentences_allowed():

@@ -170,6 +170,30 @@ def test_zero_shot_isolation_routing_and_rows():
     assert all(r.source_id == "style_mix" for r in outcome.rows)
 
 
+@pytest.mark.parametrize("task", ["parse", "tag_lemma"])
+def test_zero_shot_fits_the_pooled_settings_on_the_remaining_members(task):
+    """Zero-shot's concat and pred models are the in-dataset concat and pred
+    models of a group holding only the remaining members, bit for bit."""
+    registry = mixture_registry()
+    one_epoch = replace(TINY_TRAINER, epochs=1)
+    zero_shot = tiny_config(task=task, group_id="mix", trainer=one_epoch, mode="zero_shot",
+                            held_out_source="style_mix")
+    outcome = run_zero_shot(registry, registry.groups["mix"], zero_shot, seed=1)
+    remaining = DatasetGroup(group_id="rest", members=["style_a", "style_b"])
+    config = tiny_config(task=task, group_id="rest", trainer=one_epoch)
+    for setting in ("concat", "pred"):
+        pooled = run_setting(registry, remaining, config, setting, seed=1)
+        expected, actual = pooled.models["model"].params.params, outcome.models[setting].params.params
+        assert expected.keys() == actual.keys()
+        for name, param in expected.items():
+            assert np.array_equal(param.data, actual[name].data), (setting, name)
+    classifier = outcome.models["classifier"]
+    assert classifier.class_ids == pooled.models["classifier"].class_ids
+    assert np.array_equal(classifier.weights, pooled.models["classifier"].weights)
+    assert np.array_equal(classifier.biases, pooled.models["classifier"].biases)
+    assert outcome.classifier_f1 == pooled.classifier_f1
+
+
 def registry_snapshot(registry):
     """Every split's CoNLL-U text and predicted source ids."""
     return {

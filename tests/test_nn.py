@@ -317,3 +317,23 @@ def test_checkpoint_of_another_format_version_rejected(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(DataError, match="unsupported checkpoint version 1$"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"{not json", "checkpoint header is not JSON"),
+        (b"\xff\xfe\x00", "checkpoint header is not JSON"),
+        (b"[3]", "checkpoint header must be a JSON object"),
+        (b'{"format_version": 3, "meta": {}}', "needs a string kind and an object meta"),
+        (b'{"format_version": 3, "kind": "m"}', "needs a string kind and an object meta"),
+        (b'{"format_version": 3, "kind": "m", "meta": []}', "needs a string kind and an object meta"),
+    ],
+    ids=["not-json", "not-utf8", "list", "no-kind", "no-meta", "list-meta"],
+)
+def test_checkpoint_with_a_malformed_header_is_one_line_data_error(tmp_path, header, message):
+    path = tmp_path / "bad.npz"
+    np.savez(path, __meta__=np.frombuffer(header, dtype=np.uint8), w=np.zeros(2))
+    with pytest.raises(DataError, match=message) as info:
+        load_checkpoint(path)
+    assert "\n" not in str(info.value)
