@@ -138,21 +138,25 @@ class SentenceEncoder:
 
     # -- word channel --------------------------------------------------------
 
-    def char_sequence(self, form: str):
-        """Per-character encodings plus the word summary vector."""
+    def char_sequence(self, form: str) -> tuple[Tensor, Tensor]:
+        """(len(form), char_dim) per-character encodings and the word summary.
+
+        The summary joins the forward state after the last character with
+        the backward state after the first.
+        """
         if not form:
             raise DataError("cannot embed an empty form")
-        embs = [self.char_emb(self.vocab.char_id(ch)) for ch in form]
-        fwd = self.char_bilstm.fwd.run(embs)
-        bwd = self.char_bilstm.bwd.run(list(reversed(embs)))
-        per_char = [T.concat([f, b]) for f, b in zip(fwd, bwd[::-1])]
-        summary = T.concat([fwd[-1], bwd[-1]])
-        return per_char, summary
+        embs = self.char_emb.rows([self.vocab.char_id(ch) for ch in form])
+        fwd, bwd = self.char_bilstm.directions(embs)
+        return T.concat([fwd, bwd]), T.concat([T.row(fwd, -1), T.row(bwd, 0)])
 
-    def embed_word(self, form: str) -> Tensor:
-        """Char-summary ++ word embedding; unseen forms hit the UNK row."""
-        _, summary = self.char_sequence(form)
-        return T.concat([summary, self.word_emb(self.vocab.word_id(form))])
+    def embed_word(self, form: str) -> tuple[Tensor, Tensor]:
+        """Per-character encodings, and char summary ++ word embedding.
+
+        Unseen forms hit the UNK word row.
+        """
+        per_char, summary = self.char_sequence(form)
+        return per_char, T.concat([summary, self.word_emb(self.vocab.word_id(form))])
 
     # -- sentence channel ------------------------------------------------------
 
@@ -165,28 +169,34 @@ class SentenceEncoder:
             raise DataError("pred mode requires sentence.predicted_source_id")
         return sentence.predicted_source_id
 
-    def token_inputs(self, sentence: Sentence, mode: str) -> list[Tensor]:
-        """Concatenated encoder inputs, one per token, before the BiLSTM."""
+    def token_inputs(self, sentence: Sentence, mode: str) -> tuple[list[Tensor], list[Tensor]]:
+        """Per token: the encoder input before the BiLSTM, and the per-character encodings."""
         if mode not in MODES:
             raise DataError(f"unknown encoder mode {mode!r}")
         if mode != MODE_NONE and not self.members:
             raise DataError(f"mode {mode!r} requires a model built with source embeddings")
-        word_parts = [self.embed_word(tok.form) for tok in sentence.tokens]
+        embedded = [self.embed_word(tok.form) for tok in sentence.tokens]
+        chars = [per_char for per_char, _ in embedded]
+        word_parts = [word for _, word in embedded]
         if mode == MODE_NONE:
-            return word_parts
+            return word_parts, chars
         source = self._source_for(sentence, mode)
         if source not in self.members:
             raise DataError(f"source {source!r} is not a member of this model's group")
         if self.source_table is None:  # source_dim 0: degenerates to mode none
-            return word_parts
+            return word_parts, chars
         source_vec = self.source_table.lookup(source)
-        return [T.concat([w, source_vec]) for w in word_parts]
+        return [T.concat([w, source_vec]) for w in word_parts], chars
 
-    def encode_sentence(self, sentence: Sentence, mode: str) -> list[Tensor]:
-        """Contextual encodings e(c_i), one per token, width 2*hidden_dim."""
+    def encode_sentence(self, sentence: Sentence, mode: str) -> tuple[list[Tensor], list[Tensor]]:
+        """Per token: the contextual encoding e(c_i) of width 2*hidden_dim, and
+        the (len(form), char_dim) per-character encodings.
+        """
         if not sentence.tokens:
-            return []
-        return self.sentence_bilstm.run(self.token_inputs(sentence, mode))
+            return [], []
+        inputs, chars = self.token_inputs(sentence, mode)
+        states = self.sentence_bilstm.run(T.stack(inputs))
+        return [T.row(states, i) for i in range(len(inputs))], chars
 
     def export_table_tsv(self) -> str:
         """TSV of the source-embedding table (header + one row per source)."""

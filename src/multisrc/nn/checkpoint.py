@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,9 @@ def save_checkpoint(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Return (kind, meta, arrays); raises DataError on a bad header or version."""
-    with np.load(path, allow_pickle=False) as data:
+    """Return (kind, meta, arrays); raises DataError on a bad file, header or version."""
+    # the file is opened here because numpy leaks its own handle on a truncated zip
+    with open(path, "rb") as fh, _open_archive(fh, path) as data:
         if _META_KEY not in data:
             raise DataError(f"{path}: not a model checkpoint (missing header)")
         try:
@@ -41,3 +43,14 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             raise DataError(f"{path}: checkpoint header needs a string kind and an object meta")
         arrays = {name: data[name] for name in data.files if name != _META_KEY}
     return header["kind"], header["meta"], arrays
+
+
+def _open_archive(fh, path) -> np.lib.npyio.NpzFile:
+    """The .npz archive in `fh`; any other file is a one-line DataError."""
+    try:
+        archive = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text, empty or truncated file
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare `np.save` array loads as one
+        raise DataError(f"{path}: not a model checkpoint (not an .npz archive)")
+    return archive

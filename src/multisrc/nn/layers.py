@@ -59,7 +59,7 @@ class ParamSet:
 
 
 class Embedding:
-    """Lookup table; gradient accumulates only on the touched row."""
+    """Lookup table; gradient accumulates only on the touched rows."""
 
     def __init__(self, params: ParamSet, name: str, vocab_size: int, dim: int):
         self.table = params.table(name, vocab_size, dim)
@@ -75,6 +75,17 @@ class Embedding:
             table.grad[index] += g
 
         return Tensor(table.data[index].copy(), parents=(table,), backward=backward)
+
+    def rows(self, indices: list[int]) -> Tensor:
+        """Many rows as one (len(indices), dim) matrix; repeats accumulate."""
+        if not indices or not all(0 <= i < self.vocab_size for i in indices):
+            raise DataError(f"embedding ids {indices} empty or out of range [0, {self.vocab_size})")
+        table = self.table
+
+        def backward(g):
+            np.add.at(table.grad, indices, g)
+
+        return Tensor(table.data[indices], parents=(table,), backward=backward)
 
 
 class Affine:
@@ -95,62 +106,46 @@ class LSTM:
         self.u = params.matrix(f"{name}.u", 4 * hidden, hidden)
         self.b = params.vector(f"{name}.b", 4 * hidden)
 
-    def initial_state(self) -> tuple[Tensor, Tensor]:
-        return T.constant(np.zeros(self.hidden)), T.constant(np.zeros(self.hidden))
-
     def step(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         h, c = state
         hc = T.lstm_cell(x, h, c, self.w, self.u, self.b)
         return T.split_state(hc, self.hidden)
 
-    def run(self, inputs: list[Tensor]) -> list[Tensor]:
-        if not inputs:
-            raise DataError("LSTM over empty sequence")
-        state = self.initial_state()
-        outputs = []
-        for x in inputs:
-            state = self.step(x, state)
-            outputs.append(state[0])
-        return outputs
+    def run(self, inputs: Tensor, reverse: bool = False) -> Tensor:
+        """Hidden states of the (n, in_dim) inputs as an (n, hidden) matrix."""
+        return T.lstm_sequence(inputs, self.w, self.u, self.b, reverse)
 
 
 class BiLSTM:
-    """Forward and backward LSTMs; output i is [fwd_i ; bwd_i] (width 2*hidden)."""
+    """Forward and backward LSTMs; output row i is [fwd_i ; bwd_i] (width 2*hidden)."""
 
     def __init__(self, params: ParamSet, name: str, in_dim: int, hidden: int):
         self.fwd = LSTM(params, f"{name}.fwd", in_dim, hidden)
         self.bwd = LSTM(params, f"{name}.bwd", in_dim, hidden)
         self.out_dim = 2 * hidden
 
-    def run(self, inputs: list[Tensor]) -> list[Tensor]:
-        fwd_states = self.fwd.run(inputs)
-        bwd_states = self.bwd.run(list(reversed(inputs)))[::-1]
-        return [T.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
+    def directions(self, inputs: Tensor) -> tuple[Tensor, Tensor]:
+        """(fwd, bwd) states; bwd row i has read inputs i..n-1."""
+        return self.fwd.run(inputs), self.bwd.run(inputs, reverse=True)
+
+    def run(self, inputs: Tensor) -> Tensor:
+        return T.concat(list(self.directions(inputs)))
 
 
 class AdditiveAttention:
-    """Single-head additive attention over a list of encoding vectors."""
+    """Single-head additive attention over the rows of an encoding matrix."""
 
     def __init__(self, params: ParamSet, name: str, query_dim: int, enc_dim: int, hidden: int):
         self.w_query = params.matrix(f"{name}.wq", hidden, query_dim)
         self.w_enc = params.matrix(f"{name}.we", hidden, enc_dim)
         self.v = params.vector(f"{name}.v", hidden)
 
-    def precompute(self, encodings: list[Tensor]) -> tuple[Tensor, Tensor]:
-        """Stack encodings and project once; reuse across decode steps."""
+    def precompute(self, encodings: Tensor) -> Tensor:
+        """Project the (n, enc_dim) encodings once; reuse across decode steps."""
+        return T.matmat(encodings, T.transpose(self.w_enc))
 
-        def backward(g, encs=tuple(encodings)):
-            for i, e in enumerate(encs):
-                e._accumulate(g[i])
-
-        stacked = T.Tensor(
-            np.stack([e.data for e in encodings]), parents=tuple(encodings), backward=backward
-        )
-        projected = T.matmat(stacked, T.transpose(self.w_enc))
-        return stacked, projected
-
-    def __call__(self, query: Tensor, stacked: Tensor, projected: Tensor) -> Tensor:
+    def __call__(self, query: Tensor, encodings: Tensor, projected: Tensor) -> Tensor:
         q = T.matvec(self.w_query, query)
         scores = T.matvec(T.tanh(T.add_rowvec(projected, q)), self.v)
         weights = T.softmax(scores)
-        return T.vecmat(weights, stacked)
+        return T.vecmat(weights, encodings)

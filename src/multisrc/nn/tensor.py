@@ -3,11 +3,15 @@
 Every operation builds a node recording its parents and a closure that
 accumulates gradients into them.  Graphs are per-sentence and small, so
 clarity and determinism win over batching: one op call = one node.
-The LSTM cell is the only fused composite (analytic backward) because it
-dominates node counts in the encoders.
+Two fused composites carry an analytic backward because recurrences
+dominate the node count: `lstm_sequence` runs a whole encoder LSTM
+(every char and sentence BiLSTM direction) as one node, and `lstm_cell`
+is the single step the lemma decoder takes between attention reads.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -176,16 +180,39 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(parts: list[Tensor]) -> Tensor:
+    """Join along the last axis: vectors end to end, matrices side by side."""
     if not parts:
         raise DataError("concat of zero tensors")
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate([p.data.shape[-1] for p in parts], initial=0))
 
     def backward(g):
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            part._accumulate(g[lo:hi])
+            part._accumulate(g[..., lo:hi])
 
-    return _node(np.concatenate([p.data for p in parts]), parts, backward)
+    return _node(np.concatenate([p.data for p in parts], axis=-1), parts, backward)
+
+
+def stack(parts: list[Tensor]) -> Tensor:
+    """Vectors of one width as the rows of a matrix."""
+    if not parts:
+        raise DataError("stack of zero tensors")
+
+    def backward(g):
+        for part, g_row in zip(parts, g):
+            part._accumulate(g_row)
+
+    return _node(np.stack([p.data for p in parts]), parts, backward)
+
+
+def row(m: Tensor, index: int) -> Tensor:
+    """One row of a matrix as a vector."""
+
+    def backward(g):
+        if m.grad is None:
+            m.grad = np.zeros_like(m.data)
+        m.grad[index] += g
+
+    return _node(m.data[index].copy(), (m,), backward)
 
 
 def narrow(t: Tensor, start: int, length: int) -> Tensor:
@@ -317,6 +344,70 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) 
         c._accumulate(gc * f)
 
     return _node(np.concatenate([h_new, c_new]), (x, h, c, w, u, b), backward)
+
+
+def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """A whole LSTM pass from zero state, fused; returns the (n, H) hidden states.
+
+    Row t of the output is the state after reading xs[t], in input order:
+    with `reverse` the recurrence starts at the last row, so row t has read
+    xs[t:].  Gate layout along the 4H axis is `lstm_cell`'s (input, forget,
+    output, candidate).  The input projection of every timestep is one
+    matmul; the backward closure runs the recurrence's BPTT and then
+    accumulates the w, u, b and xs grads as three matmuls and a row-sum.
+    """
+    if xs.data.ndim != 2 or xs.data.shape[0] == 0:
+        raise DataError(f"lstm_sequence needs a non-empty (n, d) input, got {xs.data.shape}")
+    n, hidden = xs.data.shape[0], u.data.shape[1]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    gates = xs.data @ w.data.T + b.data  # input projections, overwritten step by step
+    cs = np.empty((n, hidden))
+    hs = np.empty((n, hidden))
+    h, c = np.zeros(hidden), np.zeros(hidden)
+    for t in order:
+        z = gates[t]
+        z += u.data @ h
+        sig = z[: 3 * hidden]
+        np.reciprocal(1.0 + np.exp(-sig), out=sig)
+        np.tanh(z[3 * hidden :], out=z[3 * hidden :])
+        i, f, o, g_cand = z.reshape(4, hidden)
+        c = f * c + i * g_cand
+        cs[t] = c
+        h = hs[t] = o * np.tanh(c)
+
+    def backward(grad):
+        i, f, o, g_cand = gates.reshape(n, 4, hidden).transpose(1, 0, 2)
+        tanh_c = np.tanh(cs)
+        c_prev = np.zeros_like(cs)
+        h_prev = np.zeros_like(hs)
+        if reverse:
+            c_prev[:-1], h_prev[:-1] = cs[1:], hs[1:]
+        else:
+            c_prev[1:], h_prev[1:] = cs[:-1], hs[:-1]
+        # a step's gate grads: coeff times its cell grad for i, f and candidate, times its h grad for o
+        coeff = np.empty((n, 4, hidden))
+        coeff[:, 0] = g_cand * i * (1.0 - i)
+        coeff[:, 1] = c_prev * f * (1.0 - f)
+        coeff[:, 2] = tanh_c * o * (1.0 - o)
+        coeff[:, 3] = i * (1.0 - g_cand * g_cand)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        gz = np.empty((n, 4, hidden))
+        gh, gc = np.zeros(hidden), np.zeros(hidden)
+        u_t = u.data.T
+        for t in reversed(order):
+            gh = grad[t] + gh
+            gc = gc + gh * dc_dh[t]
+            np.multiply(coeff[t], gc, out=gz[t])
+            np.multiply(coeff[t, 2], gh, out=gz[t, 2])
+            gh = u_t @ gz[t].reshape(-1)
+            gc = gc * f[t]
+        gz = gz.reshape(n, 4 * hidden)
+        w._accumulate(gz.T @ xs.data)
+        u._accumulate(gz.T @ h_prev)
+        b._accumulate(gz.sum(axis=0))
+        xs._accumulate(gz @ w.data)
+
+    return _node(hs, (xs, w, u, b), backward)
 
 
 def split_state(hc: Tensor, hidden: int) -> tuple[Tensor, Tensor]:

@@ -117,7 +117,7 @@ class DependencyParser:
         """Greedy argmax over legal transitions; total by construction."""
         if not sentence.tokens:
             raise DataError("cannot parse an empty sentence")
-        encodings = self.encoder.encode_sentence(sentence, mode)
+        encodings, _ = self.encoder.encode_sentence(sentence, mode)
         state = ParserState.initial(len(sentence.tokens))
         while not state.is_terminal():
             scores = self.score_transitions(state, encodings).data
@@ -180,7 +180,7 @@ def train_parser(
 
 def _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch):
     oracle = DynamicOracle(gold, use_swap=model.config.use_swap)
-    encodings = model.encoder.encode_sentence(sentence, mode)
+    encodings, _ = model.encoder.encode_sentence(sentence, mode)
     state = ParserState.initial(len(gold))
     losses = []
     explore = epoch >= trainer.explore_burnin_epochs

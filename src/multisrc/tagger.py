@@ -97,7 +97,7 @@ class JointTagger:
         """Most likely bundle per token (empty sentence: empty list)."""
         if not sentence.tokens:
             return []
-        encodings = self.encoder.encode_sentence(sentence, mode)
+        encodings, _ = self.encoder.encode_sentence(sentence, mode)
         out = []
         for logits in self.tag_logits(encodings):
             out.append(self.bundles[int(np.argmax(logits.data))])
@@ -107,7 +107,7 @@ class JointTagger:
 
     def _decoder_steps(self, token_encoding, char_encodings, bundle_id):
         """Stateful step closure shared by decoding and teacher forcing."""
-        stacked, projected = self.attention.precompute(char_encodings)
+        projected = self.attention.precompute(char_encodings)
         tag_vec = self.tag_emb(bundle_id)
         h = T.tanh(self.dec_init(token_encoding))
         c = T.constant(np.zeros(self.config.decoder_hidden))
@@ -116,18 +116,21 @@ class JointTagger:
         def step(prev_char_index: int):
             x = T.concat([self.dec_char_emb(prev_char_index), tag_vec])
             state["h"], state["c"] = self.decoder.step(x, (state["h"], state["c"]))
-            context = self.attention(state["h"], stacked, projected)
+            context = self.attention(state["h"], char_encodings, projected)
             return self.out_head(T.concat([state["h"], context]))
 
         return step
 
-    def decode_lemma(self, token_encoding, form: str, bundle: str) -> str:
-        """Greedy decode until EOS or the hard length cap 2*|form|+8."""
+    def decode_lemma(self, token_encoding, char_encodings, form: str, bundle: str) -> str:
+        """Greedy decode until EOS or the hard length cap 2*|form|+8.
+
+        `char_encodings` are the form's per-character encodings from the
+        sentence's `encode_sentence` pass.
+        """
         if not form:
             raise DataError("cannot lemmatize an empty form")
         if bundle not in self.bundle_index:
             raise DataError(f"unknown bundle {bundle!r}")
-        char_encodings, _ = self.encoder.char_sequence(form)
         step = self._decoder_steps(token_encoding, char_encodings, self.bundle_index[bundle])
         prev = 0  # begin-of-sequence
         chars = []
@@ -140,9 +143,8 @@ class JointTagger:
             prev = best
         return "".join(chars)
 
-    def lemma_loss(self, token_encoding, form: str, gold_lemma: str, gold_bundle: str):
+    def lemma_loss(self, token_encoding, char_encodings, gold_lemma: str, gold_bundle: str):
         """Teacher-forced cross-entropy over the gold character sequence."""
-        char_encodings, _ = self.encoder.char_sequence(form)
         bundle_id = self.bundle_index[gold_bundle]
         step = self._decoder_steps(token_encoding, char_encodings, bundle_id)
         try:
@@ -165,11 +167,13 @@ class JointTagger:
         """(bundle, lemma) per token, lemma conditioned on the predicted tag."""
         if not sentence.tokens:
             return []
-        encodings = self.encoder.encode_sentence(sentence, mode)
+        encodings, chars = self.encoder.encode_sentence(sentence, mode)
         output = []
-        for tok, encoding, logits in zip(sentence.tokens, encodings, self.tag_logits(encodings)):
+        for tok, encoding, char_encodings, logits in zip(
+            sentence.tokens, encodings, chars, self.tag_logits(encodings)
+        ):
             bundle = self.bundles[int(np.argmax(logits.data))]
-            lemma = self.decode_lemma(encoding, tok.form, bundle)
+            lemma = self.decode_lemma(encoding, char_encodings, tok.form, bundle)
             output.append((bundle, lemma))
         return output
 
@@ -216,16 +220,16 @@ def train_joint(
             if words_used + len(sentence.tokens) > trainer.max_words_per_epoch and words_used > 0:
                 break
             words_used += len(sentence.tokens)
-            encodings = model.encoder.encode_sentence(sentence, mode)
+            encodings, chars = model.encoder.encode_sentence(sentence, mode)
             losses = []
-            for tok, encoding in zip(sentence.tokens, encodings):
+            for tok, encoding, char_encodings in zip(sentence.tokens, encodings, chars):
                 gold_bundle = bundle_string(tok.morph)
                 tag_ce = T.cross_entropy(model.tag_head(encoding), model.bundle_index[gold_bundle])
                 tag_total += float(tag_ce.data)
                 if tag_loss_weight != 0.0:
                     losses.append(T.scale(tag_ce, tag_loss_weight) if tag_loss_weight != 1.0 else tag_ce)
                 if tok.lemma:
-                    lemma_ce = model.lemma_loss(encoding, tok.form, tok.lemma, gold_bundle)
+                    lemma_ce = model.lemma_loss(encoding, char_encodings, tok.lemma, gold_bundle)
                     lemma_total += float(lemma_ce.data)
                     losses.append(lemma_ce)
             if not losses:

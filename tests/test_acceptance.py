@@ -210,6 +210,13 @@ def test_criterion_04_gradient_checks_every_layer():
 
     worst = max(worst, finite_difference_check(cell_loss, [w, u, b, xin]))
 
+    # fused LSTM sequence, both directions, over a 4-step input matrix
+    xs = random_param(r, "xs", (4, 2))
+    probe_seq = T.constant(r.uniform(-1, 1, (4, hidden)))
+    for reverse in (False, True):
+        worst = max(worst, finite_difference_check(
+            lambda: T.vsum(T.mul(T.lstm_sequence(xs, w, u, b, reverse), probe_seq)), [w, u, b, xs]))
+
     # attention
     from multisrc.nn import AdditiveAttention
 
@@ -221,9 +228,8 @@ def test_criterion_04_gradient_checks_every_layer():
     probe2 = T.constant(r.uniform(-1, 1, 2))
 
     def att_loss():
-        encs = [T.constant(e) for e in enc_data]
-        stacked, projected = att.precompute(encs)
-        return T.dot(att(query, stacked, projected), probe2)
+        stacked = T.stack([T.constant(e) for e in enc_data])
+        return T.dot(att(query, stacked, att.precompute(stacked)), probe2)
 
     worst = max(worst, finite_difference_check(att_loss, [att.w_query, att.w_enc, att.v, query]))
 
@@ -240,7 +246,7 @@ def test_criterion_04_gradient_checks_every_layer():
     state = apply_transition(state, Transition(SHIFT))
 
     def hinge_loss():
-        encodings = parser.encoder.encode_sentence(sent, MODE_NONE)
+        encodings, _ = parser.encoder.encode_sentence(sent, MODE_NONE)
         scores = parser.score_transitions(state, encodings)
         good = T.masked_max(scores, [2])
         bad = T.masked_max(scores, [0, 3, 4])
@@ -254,7 +260,7 @@ def test_criterion_04_gradient_checks_every_layer():
     encoder_params = [parser.encoder.word_emb.table, parser.encoder.char_emb.table]
 
     def ce_loss():
-        encodings = parser.encoder.encode_sentence(sent, MODE_NONE)
+        encodings, _ = parser.encoder.encode_sentence(sent, MODE_NONE)
         return T.cross_entropy(parser.hidden(T.concat(
             [encodings[0], encodings[1], parser.special(0), parser.special(1)])), 2)
 

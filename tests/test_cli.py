@@ -1,5 +1,7 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
 from multisrc.classifier import ClassifierHyper, NGramConfig, featurize, save_model, train_linear
@@ -238,6 +240,18 @@ def test_unknown_group_is_one_line_data_error(tmp_path, capsys, verb):
 NOT_UTF8 = b"\xff\xfe# not UTF-8\n"
 
 
+def _npy_and_npz_bytes():
+    npy, npz = io.BytesIO(), io.BytesIO()
+    np.save(npy, np.zeros(2))
+    np.savez(npz, w=np.zeros(100))
+    return npy.getvalue(), npz.getvalue()
+
+
+NPY_BYTES, NPZ_BYTES = _npy_and_npz_bytes()
+CLASSIFY_PREDICT = ["classify", "predict", "--model", "{model}", "--in",
+                    "{data}/dialect_a-dev.conllu", "--source-id", "dialect_a"]
+
+
 @pytest.mark.parametrize(
     "bad_file, content, argv, message",
     [
@@ -258,9 +272,13 @@ NOT_UTF8 = b"\xff\xfe# not UTF-8\n"
          b'{"sources": [{"id": "a", "language": "syn"}, {"id": "b", "language": "syn"}],'
          b' "groups": [{"id": "g", "members": "ab"}]}',
          ["group", "--config", "{registry}"], "groups[0].members must be list, got 'ab'"),
+        ("model.npz", b"hello", CLASSIFY_PREDICT, "not an .npz archive"),
+        ("model.npz", NPY_BYTES, CLASSIFY_PREDICT, "not an .npz archive"),
+        ("model.npz", NPZ_BYTES[: len(NPZ_BYTES) // 2], CLASSIFY_PREDICT, "not an .npz archive"),
     ],
     ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
-         "group-source-without-id", "group-registry-list", "group-members-string"],
+         "group-source-without-id", "group-registry-list", "group-members-string",
+         "model-text-file", "model-npy-array", "model-truncated-zip"],
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):
@@ -271,7 +289,8 @@ def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file,
     exp.write_text(json.dumps({"registry": "data/registry.json", "task": "parse",
                                "group_id": "amb"}))
     (tmp_path / bad_file).write_bytes(content)
-    paths = {"exp": exp, "registry": registry, "data": tmp_path / "data"}
+    paths = {"exp": exp, "registry": registry, "data": tmp_path / "data",
+             "model": tmp_path / "model.npz"}
     argv = [arg.format(**paths) for arg in argv]
     if argv[0] != "eval":
         argv += ["--out", str(tmp_path / "out")]

@@ -29,9 +29,10 @@ def build(members=("src_a", "src_b"), cfg=CFG, seed=42):
 
 def test_embed_word_width_and_determinism():
     encoder, _, _ = build()
-    rep = encoder.embed_word("cats")
+    per_char, rep = encoder.embed_word("cats")
+    assert per_char.data.shape == (4, CFG.char_dim)
     assert rep.data.shape == (CFG.word_dim + CFG.char_dim,)
-    assert np.array_equal(rep.data, encoder.embed_word("cats").data)
+    assert np.array_equal(rep.data, encoder.embed_word("cats")[1].data)
 
 
 def test_embed_word_rejects_empty_form():
@@ -43,42 +44,44 @@ def test_embed_word_rejects_empty_form():
 def test_unseen_form_uses_unk_word_row_but_char_channel():
     encoder, _, vocab = build()
     assert vocab.word_id("zzz") == 0
-    rep = encoder.embed_word("zzz")
+    _, rep = encoder.embed_word("zzz")
     word_slice = rep.data[CFG.char_dim :]
     assert np.array_equal(word_slice, encoder.word_emb.table.data[0])
     # unknown chars all map to the UNK char id: same-length unknown forms
     # share a char channel, known chars give a different one
-    same = encoder.embed_word("qqq")
+    _, same = encoder.embed_word("qqq")
     assert np.array_equal(rep.data[: CFG.char_dim], same.data[: CFG.char_dim])
-    known = encoder.embed_word("cat")
+    _, known = encoder.embed_word("cat")
     assert not np.array_equal(rep.data[: CFG.char_dim], known.data[: CFG.char_dim])
 
 
 def test_distinct_forms_without_shared_chars_differ_in_char_channel():
     encoder, _, _ = build()
-    a = encoder.embed_word("cats").data[: CFG.char_dim]
-    b = encoder.embed_word("dog").data[: CFG.char_dim]
+    a = encoder.embed_word("cats")[1].data[: CFG.char_dim]
+    b = encoder.embed_word("dog")[1].data[: CFG.char_dim]
     assert np.abs(a - b).max() > 0
 
 
 def test_mode_widths():
     encoder, _, _ = build()
     sent = sentence_from_words(["cats", "sleep"], source_id="src_a")
-    none_inputs = encoder.token_inputs(sent, MODE_NONE)
-    gold_inputs = encoder.token_inputs(sent, MODE_GOLD)
+    none_inputs, chars = encoder.token_inputs(sent, MODE_NONE)
+    gold_inputs, _ = encoder.token_inputs(sent, MODE_GOLD)
     assert none_inputs[0].data.shape == (CFG.token_input_dim,)
     assert gold_inputs[0].data.shape == (CFG.token_input_dim + CFG.source_dim,)
-    encodings = encoder.encode_sentence(sent, MODE_GOLD)
+    assert [c.data.shape for c in chars] == [(4, CFG.char_dim), (5, CFG.char_dim)]
+    encodings, chars = encoder.encode_sentence(sent, MODE_GOLD)
     assert len(encodings) == 2
     assert encodings[0].data.shape == (2 * CFG.hidden_dim,)
+    assert [c.data.shape for c in chars] == [(4, CFG.char_dim), (5, CFG.char_dim)]
 
 
 def test_swapping_source_permutes_only_source_slice():
     encoder, _, _ = build()
     sent_a = sentence_from_words(["cats", "sleep"], source_id="src_a")
     sent_b = sentence_from_words(["cats", "sleep"], source_id="src_b")
-    in_a = encoder.token_inputs(sent_a, MODE_GOLD)
-    in_b = encoder.token_inputs(sent_b, MODE_GOLD)
+    in_a, _ = encoder.token_inputs(sent_a, MODE_GOLD)
+    in_b, _ = encoder.token_inputs(sent_b, MODE_GOLD)
     d = CFG.token_input_dim
     for ta, tb in zip(in_a, in_b):
         assert np.array_equal(ta.data[:d], tb.data[:d])  # word slice identical
@@ -91,8 +94,8 @@ def test_pred_mode_uses_predicted_source_id():
     encoder, _, _ = build()
     sent = sentence_from_words(["cats"], source_id="src_a")
     sent.predicted_source_id = "src_b"
-    gold_in = encoder.token_inputs(sent, MODE_GOLD)[0]
-    pred_in = encoder.token_inputs(sent, MODE_PRED)[0]
+    gold_in = encoder.token_inputs(sent, MODE_GOLD)[0][0]
+    pred_in = encoder.token_inputs(sent, MODE_PRED)[0][0]
     d = CFG.token_input_dim
     assert np.array_equal(gold_in.data[d:], encoder.source_table.emb.table.data[0])
     assert np.array_equal(pred_in.data[d:], encoder.source_table.emb.table.data[1])
@@ -121,8 +124,8 @@ def test_source_dim_zero_degenerates_to_mode_none_bitwise():
     enc_with, _, _ = build(members=("src_a", "src_b"), cfg=cfg0, seed=7)
     enc_none, _, _ = build(members=(), cfg=cfg0, seed=7)
     sent = sentence_from_words(["cats", "sleep"], source_id="src_a")
-    out_gold = enc_with.encode_sentence(sent, MODE_GOLD)
-    out_none = enc_none.encode_sentence(sent, MODE_NONE)
+    out_gold, _ = enc_with.encode_sentence(sent, MODE_GOLD)
+    out_none, _ = enc_none.encode_sentence(sent, MODE_NONE)
     for a, b in zip(out_gold, out_none):
         assert np.array_equal(a.data, b.data)
 
@@ -132,7 +135,7 @@ def test_gradients_flow_only_into_used_source_row():
     sent = sentence_from_words(["cats", "sleep"], source_id="src_a")
     table = encoder.source_table.emb.table
     before = table.data.copy()
-    encodings = encoder.encode_sentence(sent, MODE_GOLD)
+    encodings, _ = encoder.encode_sentence(sent, MODE_GOLD)
     loss = T.vsum(T.mul(encodings[0], encodings[0]))
     loss.backward()
     assert np.abs(table.grad[0]).max() > 0

@@ -275,12 +275,12 @@ def test_trained_gold_model_encodes_same_sentence_differently_per_source():
     sent = corpus["dialect_a"]["dev"].sentences[0]
     as_a = sent
     as_b = deepcopy_sentence(sent, "dialect_b")
-    enc_a = gold_model.encoder.encode_sentence(as_a, MODE_GOLD)
-    enc_b = gold_model.encoder.encode_sentence(as_b, MODE_GOLD)
+    enc_a, _ = gold_model.encoder.encode_sentence(as_a, MODE_GOLD)
+    enc_b, _ = gold_model.encoder.encode_sentence(as_b, MODE_GOLD)
     diff = max(float(np.abs(a.data - b.data).max()) for a, b in zip(enc_a, enc_b))
     assert diff > 0.0
-    none_a = none_model.encoder.encode_sentence(as_a, "none")
-    none_b = none_model.encoder.encode_sentence(as_b, "none")
+    none_a, _ = none_model.encoder.encode_sentence(as_a, "none")
+    none_b, _ = none_model.encoder.encode_sentence(as_b, "none")
     for a, b in zip(none_a, none_b):
         assert np.array_equal(a.data, b.data)
 

@@ -46,8 +46,8 @@ def test_non_scalar_backward_rejected():
 @pytest.mark.parametrize(
     "op_name",
     ["add", "mul", "matvec", "vecmat", "matmat", "dot", "concat",
-     "tanh", "sigmoid", "relu", "softmax", "add_rowvec", "pick",
-     "masked_max", "cross_entropy", "narrow", "vsum"],
+     "concat_matrix", "stack", "row", "tanh", "sigmoid", "relu", "softmax", "add_rowvec",
+     "pick", "masked_max", "cross_entropy", "narrow", "vsum"],
 )
 def test_finite_difference_per_op(op_name):
     r = np.random.default_rng(7)
@@ -66,6 +66,11 @@ def test_finite_difference_per_op(op_name):
         "matmat": (lambda: T.vsum(T.matvec(T.matmat(m, m2), probe)), [m, m2]),
         "dot": (lambda: T.dot(a, b), [a, b]),
         "concat": (lambda: T.vsum(T.tanh(T.concat([a, b]))), [a, b]),
+        "concat_matrix": (
+            lambda: T.vsum(T.matvec(T.concat([m, T.transpose(m2)]), T.concat([a, b]))), [m, m2, a, b]
+        ),
+        "stack": (lambda: T.vsum(T.matvec(T.stack([a, b, T.tanh(a)]), probe4)), [a, b]),
+        "row": (lambda: T.dot(T.add(T.row(m, 1), T.row(m, -1)), probe4), [m]),
         "tanh": (lambda: T.dot(T.tanh(a), probe4), [a]),
         "sigmoid": (lambda: T.dot(T.sigmoid(a), probe4), [a]),
         "relu": (lambda: T.dot(T.relu(a), probe4), [a]),
@@ -101,6 +106,65 @@ def test_lstm_cell_gradcheck():
     finite_difference_check(build, [w, u, b, x])
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_sequence_gradcheck(reverse):
+    r = np.random.default_rng(4)
+    n, hidden, in_dim = 4, 3, 2
+    w = random_param(r, "w", (4 * hidden, in_dim))
+    u = random_param(r, "u", (4 * hidden, hidden))
+    b = random_param(r, "b", (4 * hidden,))
+    xs = random_param(r, "xs", (n, in_dim))
+    probe = constant(r.uniform(-1, 1, (n, hidden)))
+
+    def build():
+        return T.vsum(T.mul(T.lstm_sequence(xs, w, u, b, reverse), probe))
+
+    finite_difference_check(build, [w, u, b, xs])
+
+
+def _step_by_step(xs, w, u, b, reverse):
+    """The per-step `lstm_cell` loop `lstm_sequence` replaces: one cell
+    node and two narrows per timestep, states put back in input order."""
+    hidden = u.data.shape[1]
+    h, c = constant(np.zeros(hidden)), constant(np.zeros(hidden))
+    states = [None] * xs.data.shape[0]
+    order = range(len(states) - 1, -1, -1) if reverse else range(len(states))
+    for t in order:
+        h, c = T.split_state(T.lstm_cell(T.row(xs, t), h, c, w, u, b), hidden)
+        states[t] = h
+    return T.stack(states)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("n, in_dim, hidden", [(1, 3, 2), (7, 16, 32), (25, 64, 128)])
+def test_lstm_sequence_matches_the_step_by_step_cell_loop(n, in_dim, hidden, reverse):
+    # hoisting the input projection changes summation order, so the fused
+    # op agrees with the cell loop to 1e-12, not bit for bit
+    r = np.random.default_rng(n + hidden)
+    shapes = {"w": (4 * hidden, in_dim), "u": (4 * hidden, hidden), "b": (4 * hidden,),
+              "xs": (n, in_dim)}
+    values = {name: r.uniform(-0.5, 0.5, shape) for name, shape in shapes.items()}
+    probe = constant(r.uniform(-1, 1, (n, hidden)))
+    results = []
+    for run in (_step_by_step, T.lstm_sequence):
+        ps = {name: Parameter(name, v.copy()) for name, v in values.items()}
+        out = run(ps["xs"], ps["w"], ps["u"], ps["b"], reverse)
+        T.vsum(T.mul(out, probe)).backward()
+        results.append((out.data, {name: p.grad for name, p in ps.items()}))
+    (old_out, old_grads), (new_out, new_grads) = results
+    assert np.allclose(new_out, old_out, rtol=0, atol=1e-12)
+    for name in shapes:
+        scale = max(np.abs(old_grads[name]).max(), 1.0)
+        assert np.abs(new_grads[name] - old_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_lstm_sequence_rejects_an_empty_input():
+    r = np.random.default_rng(0)
+    w, u, b = random_param(r, "w", (8, 3)), random_param(r, "u", (8, 2)), random_param(r, "b", (8,))
+    with pytest.raises(DataError, match="non-empty"):
+        T.lstm_sequence(constant(np.zeros((0, 3))), w, u, b)
+
+
 def test_embedding_lookup_and_repeat_accumulation():
     ps = ParamSet(rng())
     emb = Embedding(ps, "emb", 5, 3)
@@ -119,6 +183,25 @@ def test_embedding_lookup_and_repeat_accumulation():
         emb(5)
     with pytest.raises(DataError):
         emb(-1)
+
+
+def test_embedding_many_row_lookup_gradcheck_and_repeats():
+    ps = ParamSet(rng())
+    emb = Embedding(ps, "emb", 5, 3)
+    probe = constant(np.random.default_rng(8).uniform(-1, 1, (4, 3)))
+
+    def build():
+        return T.vsum(T.mul(T.tanh(emb.rows([1, 3, 1, 0])), probe))
+
+    finite_difference_check(build, [emb.table])
+    assert np.array_equal(emb.rows([2, 0]).data, emb.table.data[[2, 0]])
+    emb.table.zero_grad()
+    T.vsum(T.mul(emb.rows([1, 3, 1, 0]), probe)).backward()
+    assert np.allclose(emb.table.grad[1], probe.data[0] + probe.data[2])
+    assert np.all(emb.table.grad[[2, 4]] == 0)
+    for bad in ([], [5], [0, -1]):
+        with pytest.raises(DataError):
+            emb.rows(bad)
 
 
 def test_affine_and_two_layer_network_gradcheck():
@@ -141,21 +224,18 @@ def test_bilstm_zero_weights_give_zero_outputs():
     net = BiLSTM(ps, "bi", 2, 3)
     for p in ps.all():
         p.data[...] = 0.0
-    outs = net.run([constant([1.0, 2.0]), constant([-1.0, 0.5])])
-    assert len(outs) == 2
-    for o in outs:
-        assert o.data.shape == (6,)
-        assert np.all(o.data == 0.0)
+    outs = net.run(constant([[1.0, 2.0], [-1.0, 0.5]]))
+    assert outs.data.shape == (2, 6)
+    assert np.all(outs.data == 0.0)
 
 
 def test_bilstm_output_shapes():
     ps = ParamSet(rng())
     net = BiLSTM(ps, "bi", 4, 5)
-    seq = [constant(np.linspace(-1, 1, 4) * k) for k in range(1, 4)]
-    outs = net.run(seq)
-    assert [o.data.shape for o in outs] == [(10,)] * 3
+    seq = constant(np.stack([np.linspace(-1, 1, 4) * k for k in range(1, 4)]))
+    assert net.run(seq).data.shape == (3, 10)
     with pytest.raises(DataError):
-        net.run([])
+        net.run(constant(np.zeros((0, 4))))
 
 
 def test_backward_direction_mirrors_forward_on_reversed_input():
@@ -166,14 +246,10 @@ def test_backward_direction_mirrors_forward_on_reversed_input():
     net.bwd.w.data = net.fwd.w.data.copy()
     net.bwd.u.data = net.fwd.u.data.copy()
     net.bwd.b.data = net.fwd.b.data.copy()
-    r = np.random.default_rng(0)
-    seq = [constant(r.uniform(-1, 1, 3)) for _ in range(5)]
-    fwd_outs = net.fwd.run(seq)
-    rev_seq = list(reversed(seq))
-    # the bwd channel consumes its input reversed: on rev_seq it scans seq
-    bwd_channel_on_reversed = net.bwd.run(list(reversed(rev_seq)))[::-1]
-    for f, b in zip(reversed(fwd_outs), bwd_channel_on_reversed):
-        assert np.allclose(f.data, b.data)
+    seq = np.random.default_rng(0).uniform(-1, 1, (5, 3))
+    fwd_outs, _ = net.directions(constant(seq))
+    _, bwd_on_reversed = net.directions(constant(seq[::-1]))
+    assert np.allclose(fwd_outs.data[::-1], bwd_on_reversed.data)
 
 
 def test_bilstm_gradcheck():
@@ -184,8 +260,8 @@ def test_bilstm_gradcheck():
     probe = constant(r.uniform(-1, 1, 4))
 
     def build():
-        outs = net.run([constant(x) for x in seq_data])
-        return T.dot(outs[1], probe)
+        outs = net.run(T.stack([constant(x) for x in seq_data]))
+        return T.dot(T.row(outs, 1), probe)
 
     finite_difference_check(build, ps.all())
 
@@ -201,9 +277,8 @@ def test_attention_gradcheck():
     probe = constant(r.uniform(-1, 1, 2))
 
     def build():
-        encs = [constant(e) for e in enc_data]
-        stacked, projected = att.precompute(encs)
-        ctx = att(query, stacked, projected)
+        stacked = T.stack([constant(e) for e in enc_data])
+        ctx = att(query, stacked, att.precompute(stacked))
         return T.dot(ctx, probe)
 
     finite_difference_check(build, [att.w_query, att.w_enc, att.v, query])
@@ -216,7 +291,7 @@ def test_operations_never_mutate_their_inputs():
     inputs = [constant(np.random.default_rng(i).uniform(-1, 1, 3)) for i in range(4)]
     snapshots = [x.data.copy() for x in inputs]
     param_snapshots = {p.name: p.data.copy() for p in ps.all()}
-    loss = T.cross_entropy(head(net.run(inputs)[2]), 1)
+    loss = T.cross_entropy(head(T.row(net.run(T.stack(inputs)), 2)), 1)
     loss.backward()
     for x, snap in zip(inputs, snapshots):
         assert np.array_equal(x.data, snap)

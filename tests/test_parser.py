@@ -61,7 +61,7 @@ def test_score_vector_shape_and_determinism():
     data = toy_corpus()
     model = build_model(data)
     sent, gold = data[0]
-    encodings = model.encoder.encode_sentence(sent, MODE_NONE)
+    encodings, _ = model.encoder.encode_sentence(sent, MODE_NONE)
     state = ParserState.initial(len(gold))
     scores = model.score_transitions(state, encodings)
     assert scores.data.shape == (2 * len(model.labels) + 2,)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multisrc.conllu import Sentence, Token, Treebank
-from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
+from multisrc.encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary
 from multisrc.errors import DataError
 from multisrc.nn import TrainerConfig
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -154,8 +154,8 @@ def test_decode_respects_hard_length_cap():
     tb = identity_corpus()
     model = build_model(tb)  # untrained: may babble, must still halt
     sent = tb.sentences[0]
-    encodings = model.encoder.encode_sentence(sent, MODE_NONE)
-    lemma = model.decode_lemma(encodings[0], sent.tokens[0].form, "Pos=N")
+    encodings, chars = model.encoder.encode_sentence(sent, MODE_NONE)
+    lemma = model.decode_lemma(encodings[0], chars[0], sent.tokens[0].form, "Pos=N")
     assert len(lemma) <= max_lemma_length(sent.tokens[0].form)
     assert max_lemma_length("cat") == 14
 
@@ -163,11 +163,11 @@ def test_decode_respects_hard_length_cap():
 def test_decode_errors():
     tb = identity_corpus()
     model = build_model(tb)
-    encodings = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    encodings, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
     with pytest.raises(DataError, match="empty form"):
-        model.decode_lemma(encodings[0], "", "Pos=N")
+        model.decode_lemma(encodings[0], chars[0], "", "Pos=N")
     with pytest.raises(DataError, match="unknown bundle"):
-        model.decode_lemma(encodings[0], "cat", "Nope=1")
+        model.decode_lemma(encodings[0], chars[0], "cat", "Nope=1")
 
 
 def test_training_determinism():
@@ -179,6 +179,27 @@ def test_training_determinism():
         runs.append({n: p.data.copy() for n, p in model.params.params.items()})
     for name in runs[0]:
         assert np.array_equal(runs[0][name], runs[1][name])
+
+
+def test_char_bilstm_runs_once_per_token_in_training_and_annotation(monkeypatch):
+    # the lemma decoder attends over the per-char encodings that the
+    # sentence's encoder pass already computed; it must not re-encode the form
+    tb = identity_corpus()
+    model = build_model(tb)
+    forms = []
+    original = SentenceEncoder.char_sequence
+
+    def counting(encoder, form):
+        forms.append(form)
+        return original(encoder, form)
+
+    monkeypatch.setattr(SentenceEncoder, "char_sequence", counting)
+    train_joint(model, [tb], MODE_NONE, trainer(2))
+    tokens = [t.form for s in tb.sentences for t in s.tokens]
+    assert sorted(forms) == sorted(2 * tokens)
+    forms.clear()
+    model.annotate_treebank(tb, MODE_NONE)
+    assert forms == tokens
 
 
 def test_word_cap_limits_epoch():
