@@ -27,7 +27,7 @@ from .classifier import (
     train_linear,
 )
 from .conllu import parse_conllu, write_conllu
-from .errors import MultisrcError, UsageError
+from .errors import DataError, MultisrcError, UsageError
 from .harness import load_experiment_file, run_cell, run_experiment
 from .metrics import METRIC_FUNCTIONS
 from .pca import pca_project, pca_tsv
@@ -235,14 +235,24 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    lines = Path(args.table).read_text(encoding="utf-8").strip().split("\n")
+    lines = Path(args.table).read_text(encoding="utf-8").rstrip().split("\n")
     if len(lines) < 2:
         raise UsageError("pca: table has no data rows")
+    width = len(lines[0].split("\t"))
     members, vectors = [], []
-    for line in lines[1:]:
-        cols = line.split("\t")
-        members.append(cols[0])
-        vectors.append([float(v) for v in cols[1:]])
+    for line_no, line in enumerate(lines[1:], start=2):
+        member, *cells = line.split("\t")
+        where = f"{args.table}: line {line_no}"
+        if len(cells) + 1 != width:
+            raise DataError(f"{where}: {len(cells) + 1} columns, the header has {width}")
+        try:
+            vector = [float(v) for v in cells]
+        except ValueError:
+            raise DataError(f"{where}: non-numeric cell in {line!r}") from None
+        if not np.all(np.isfinite(vector)):
+            raise DataError(f"{where}: non-finite value in {line!r}")
+        members.append(member)
+        vectors.append(vector)
     coordinates, _, _ = pca_project(np.asarray(vectors))
     Path(args.out).write_text(pca_tsv(members, coordinates), encoding="utf-8")
     print(f"pca: projected {len(members)} sources")

@@ -94,7 +94,7 @@ class Affine:
         self.b = params.vector(f"{name}.b", out_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matvec(self.w, x), self.b)
+        return T.affine(self.w, x, self.b)
 
 
 class LSTM:

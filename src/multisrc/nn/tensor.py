@@ -3,10 +3,13 @@
 Every operation builds a node recording its parents and a closure that
 accumulates gradients into them.  Graphs are per-sentence and small, so
 clarity and determinism win over batching: one op call = one node.
-Two fused composites carry an analytic backward because recurrences
-dominate the node count: `lstm_sequence` runs a whole encoder LSTM
-(every char and sentence BiLSTM direction) as one node, and `lstm_cell`
-is the single step the lemma decoder takes between attention reads.
+Composite ops carry an analytic backward so that the pieces the models
+repeat most are one node each: `lstm_sequence` runs a whole encoder LSTM
+(every char and sentence BiLSTM direction), `lstm_cell` is the single
+step the lemma decoder takes between attention reads, `affine` is a
+layer's `w @ x + b`, `hinge` is the parser's margin between its best
+costly and best zero-cost transition, and `total` sums a sentence's
+scalar losses.
 """
 
 from __future__ import annotations
@@ -94,17 +97,6 @@ def _node(data, parents, backward) -> Tensor:
     return Tensor(data, parents=tuple(parents), backward=backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DataError(f"add shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        a._accumulate(g)
-        b._accumulate(g)
-
-    return _node(a.data + b.data, (a, b), backward)
-
-
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Broadcast-add a vector to every row of a matrix."""
     if m.data.ndim != 2 or m.data.shape[1] != v.data.shape[0]:
@@ -117,24 +109,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _node(m.data + v.data[None, :], (m, v), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DataError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    def backward(g):
-        a._accumulate(g * factor)
-
-    return _node(a.data * factor, (a,), backward)
-
-
 def matvec(m: Tensor, v: Tensor) -> Tensor:
     if m.data.ndim != 2 or m.data.shape[1] != v.data.shape[0]:
         raise DataError(f"matvec shape mismatch {m.data.shape} @ {v.data.shape}")
@@ -144,6 +118,19 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
         v._accumulate(m.data.T @ g)
 
     return _node(m.data @ v.data, (m, v), backward)
+
+
+def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """`w @ x + b` as one node."""
+    if w.data.ndim != 2 or w.data.shape != (b.data.shape[0], x.data.shape[0]):
+        raise DataError(f"affine shape mismatch {w.data.shape} @ {x.data.shape} + {b.data.shape}")
+
+    def backward(g):
+        w._accumulate(np.outer(g, x.data))
+        x._accumulate(w.data.T @ g)
+        b._accumulate(g)
+
+    return _node(w.data @ x.data + b.data, (w, x, b), backward)
 
 
 def vecmat(v: Tensor, m: Tensor) -> Tensor:
@@ -164,17 +151,6 @@ def matmat(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(g @ b.data.T)
         b._accumulate(a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise DataError(f"dot shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
 
     return _node(a.data @ b.data, (a, b), backward)
 
@@ -233,56 +209,6 @@ def tanh(t: Tensor) -> Tensor:
     return _node(out, (t,), backward)
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-t.data))
-
-    def backward(g):
-        t._accumulate(g * out * (1.0 - out))
-
-    return _node(out, (t,), backward)
-
-
-def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0
-
-    def backward(g):
-        t._accumulate(g * mask)
-
-    return _node(t.data * mask, (t,), backward)
-
-
-def vsum(t: Tensor) -> Tensor:
-    def backward(g):
-        t._accumulate(np.full_like(t.data, float(g)))
-
-    return _node(t.data.sum(), (t,), backward)
-
-
-def pick(t: Tensor, index: int) -> Tensor:
-    """Select one element of a vector as a scalar."""
-
-    def backward(g):
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad[index] += g
-
-    return _node(t.data[index], (t,), backward)
-
-
-def masked_max(t: Tensor, indices: list[int]) -> Tensor:
-    """Max over a subset of a score vector; subgradient to the first argmax."""
-    if not indices:
-        raise DataError("masked_max over empty index set")
-    best = max(indices, key=lambda i: (t.data[i], -i))
-
-    def backward(g):
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad[best] += g
-
-    return _node(t.data[best], (t,), backward)
-
-
 def softmax(t: Tensor) -> Tensor:
     shifted = t.data - t.data.max()
     e = np.exp(shifted)
@@ -308,6 +234,42 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
         logits._accumulate(g * p)
 
     return _node(lse - z[target], (logits,), backward)
+
+
+def hinge(scores: Tensor, costly: list[int], zero: list[int]) -> Tensor:
+    """Margin `1 + (scores[c] - scores[z])` of the best costly index c over
+    the best zero-cost index z; ties go to the lowest index.
+
+    The caller keeps the node only when it is positive, so no clamp is
+    needed: the subgradient is +g at c and -g at z.
+    """
+    if not costly or not zero:
+        raise DataError("hinge needs non-empty costly and zero-cost index sets")
+    c = max(costly, key=lambda i: (scores.data[i], -i))
+    z = max(zero, key=lambda i: (scores.data[i], -i))
+
+    def backward(g):
+        if scores.grad is None:
+            scores.grad = np.zeros_like(scores.data)
+        scores.grad[c] += g
+        scores.grad[z] -= g
+
+    return _node(1.0 + (scores.data[c] - scores.data[z]), (scores,), backward)
+
+
+def total(parts: list[Tensor]) -> Tensor:
+    """Sum of scalar nodes, added left to right; every part gets the whole grad."""
+    if not parts or any(p.data.shape != () for p in parts):
+        raise DataError("total needs one or more scalar tensors")
+    value = parts[0].data
+    for part in parts[1:]:
+        value = value + part.data
+
+    def backward(g):
+        for part in parts:
+            part._accumulate(g)
+
+    return _node(value, parts, backward)
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:

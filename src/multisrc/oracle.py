@@ -122,10 +122,6 @@ class DynamicOracle:
                 self.remaining[head].discard(b0)
         # SWAP and free SHIFT commit nothing
 
-    def zero_cost_kinds(self, state: ParserState) -> list[str]:
-        costs = self.costs(state)
-        return [k for k, c in costs.items() if c == 0]
-
 
 def oracle_costs(state: ParserState, gold: DependencyTree, use_swap: bool = True):
     """One-shot cost query for a state reached by zero-cost transitions.

@@ -22,7 +22,7 @@ from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .oracle import DynamicOracle
 from .schema import from_dict, to_dict
-from .trees import ROOT, DependencyTree, attach_tree
+from .trees import DependencyTree, attach_tree
 from .transitions import (
     ARC_KINDS,
     LEFT_ARC,
@@ -95,20 +95,17 @@ class DependencyParser:
 
     # -- scoring ------------------------------------------------------------
 
-    def score_transitions(self, state: ParserState, encodings: list[T.Tensor]) -> T.Tensor:
-        """One score per (kind, label) plus SHIFT and SWAP."""
+    def scorer_slots(self, encodings: list[T.Tensor]) -> list[T.Tensor]:
+        """The scorer's inputs for one sentence, indexed by token id: the
+        root vector at 0, the encodings at 1..n and the empty-slot vector
+        at -1 (index n+1)."""
+        return [self.special(0), *encodings, self.special(1)]
 
-        def slot(token_id: int | None) -> T.Tensor:
-            if token_id is None:
-                return self.special(1)
-            if token_id == ROOT:
-                return self.special(0)
-            return encodings[token_id - 1]
-
-        stack_items = [
-            state.stack[-1 - i] if len(state.stack) > i else None for i in range(STACK_SLOTS)
-        ]
-        features = [slot(t) for t in stack_items] + [slot(state.front)]
+    def score_transitions(self, state: ParserState, slots: list[T.Tensor]) -> T.Tensor:
+        """One score per (kind, label) plus SHIFT and SWAP, from `scorer_slots`."""
+        stack_items = [state.stack[-1 - i] if len(state.stack) > i else -1 for i in range(STACK_SLOTS)]
+        front = -1 if state.front is None else state.front
+        features = [slots[t] for t in stack_items] + [slots[front]]
         return self.out(T.tanh(self.hidden(T.concat(features))))
 
     # -- decoding -------------------------------------------------------------
@@ -118,9 +115,10 @@ class DependencyParser:
         if not sentence.tokens:
             raise DataError("cannot parse an empty sentence")
         encodings, _ = self.encoder.encode_sentence(sentence, mode)
+        slots = self.scorer_slots(encodings)
         state = ParserState.initial(len(sentence.tokens))
         while not state.is_terminal():
-            scores = self.score_transitions(state, encodings).data
+            scores = self.score_transitions(state, slots).data
             indices = self.legal_indices(state)
             best = max(indices, key=lambda i: (scores[i], -i))
             state = apply_transition(state, self.transition_at(best))
@@ -166,12 +164,10 @@ def train_parser(
             losses = _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch)
             if not losses:
                 continue
-            total = losses[0]
-            for extra in losses[1:]:
-                total = T.add(total, extra)
-            epoch_loss += float(total.data)
+            loss = T.total(losses)
+            epoch_loss += float(loss.data)
             updates += 1
-            total.backward()
+            loss.backward()
             optimizer.step()
         history["epoch_loss"].append(epoch_loss)
         history["epoch_updates"].append(updates)
@@ -181,22 +177,20 @@ def train_parser(
 def _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch):
     oracle = DynamicOracle(gold, use_swap=model.config.use_swap)
     encodings, _ = model.encoder.encode_sentence(sentence, mode)
+    slots = model.scorer_slots(encodings)
     state = ParserState.initial(len(gold))
     losses = []
     explore = epoch >= trainer.explore_burnin_epochs
     while not state.is_terminal():
-        scores = model.score_transitions(state, encodings)
+        scores = model.score_transitions(state, slots)
         costs = oracle.costs(state)
         if not model.config.use_swap:
             costs.pop(SWAP, None)
         zero_idx, costly_idx = _partition_indices(model, state, gold, costs)
         if zero_idx and costly_idx:
-            margin = T.add(
-                T.constant(1.0),
-                T.add(T.masked_max(scores, costly_idx), T.scale(T.masked_max(scores, zero_idx), -1.0)),
-            )
+            margin = T.hinge(scores, costly_idx, zero_idx)
             if float(margin.data) > 0.0:
-                losses.append(T.relu(margin))
+                losses.append(margin)
         transition = _choose_transition(
             model, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng, trainer
         )

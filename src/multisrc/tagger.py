@@ -93,16 +93,6 @@ class JointTagger:
     def tag_logits(self, encodings):
         return [self.tag_head(e) for e in encodings]
 
-    def tag_sentence(self, sentence: Sentence, mode: str) -> list[str]:
-        """Most likely bundle per token (empty sentence: empty list)."""
-        if not sentence.tokens:
-            return []
-        encodings, _ = self.encoder.encode_sentence(sentence, mode)
-        out = []
-        for logits in self.tag_logits(encodings):
-            out.append(self.bundles[int(np.argmax(logits.data))])
-        return out
-
     # -- lemmatization ---------------------------------------------------------
 
     def _decoder_steps(self, token_encoding, char_encodings, bundle_id):
@@ -152,14 +142,8 @@ class JointTagger:
         except KeyError as exc:
             raise DataError(f"lemma char {exc.args[0]!r} missing from the inventory") from None
         targets.append(EOS)
-        loss = None
-        prev = 0
-        for target in targets:
-            logits = step(prev)
-            ce = T.cross_entropy(logits, target)
-            loss = ce if loss is None else T.add(loss, ce)
-            prev = target
-        return loss
+        # each step reads the previous gold char; the first reads begin-of-sequence (0)
+        return T.total([T.cross_entropy(step(prev), target) for prev, target in zip([0, *targets], targets)])
 
     # -- full-sentence prediction -------------------------------------------
 
@@ -202,7 +186,6 @@ def train_joint(
     treebanks: list[Treebank],
     mode: str,
     trainer: TrainerConfig,
-    tag_loss_weight: float = 1.0,
 ) -> dict:
     """Tag + lemma cross-entropy, word-capped shuffled epochs."""
     sentences = [s for tb in treebanks for s in tb.sentences if s.tokens]
@@ -226,18 +209,12 @@ def train_joint(
                 gold_bundle = bundle_string(tok.morph)
                 tag_ce = T.cross_entropy(model.tag_head(encoding), model.bundle_index[gold_bundle])
                 tag_total += float(tag_ce.data)
-                if tag_loss_weight != 0.0:
-                    losses.append(T.scale(tag_ce, tag_loss_weight) if tag_loss_weight != 1.0 else tag_ce)
+                losses.append(tag_ce)
                 if tok.lemma:
                     lemma_ce = model.lemma_loss(encoding, char_encodings, tok.lemma, gold_bundle)
                     lemma_total += float(lemma_ce.data)
                     losses.append(lemma_ce)
-            if not losses:
-                continue
-            total = losses[0]
-            for extra in losses[1:]:
-                total = T.add(total, extra)
-            total.backward()
+            T.total(losses).backward()
             optimizer.step()
         history["tag_loss"].append(tag_total)
         history["lemma_loss"].append(lemma_total)

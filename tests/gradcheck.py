@@ -1,8 +1,45 @@
-"""Central finite-difference gradient checking used across the nn tests."""
+"""Central finite-difference gradient checking used across the nn tests,
+plus the elementwise ops the tests build their scalar losses from (the
+models need none of them, so `multisrc.nn.tensor` does not carry them)."""
 
 import numpy as np
 
-from multisrc.nn.tensor import Parameter
+from multisrc.nn.tensor import Parameter, Tensor
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        a._accumulate(g)
+        b._accumulate(g)
+
+    return Tensor(a.data + b.data, (a, b), backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        a._accumulate(g * b.data)
+        b._accumulate(g * a.data)
+
+    return Tensor(a.data * b.data, (a, b), backward)
+
+
+def dot(a: Tensor, b: Tensor) -> Tensor:
+    """Inner product of two vectors as a scalar."""
+
+    def backward(g):
+        a._accumulate(g * b.data)
+        b._accumulate(g * a.data)
+
+    return Tensor(a.data @ b.data, (a, b), backward)
+
+
+def vsum(t: Tensor) -> Tensor:
+    """Sum of every element as a scalar."""
+
+    def backward(g):
+        t._accumulate(np.full_like(t.data, float(g)))
+
+    return Tensor(t.data.sum(), (t,), backward)
 
 
 def finite_difference_check(build_loss, params, h=1e-5, rtol=1e-4):

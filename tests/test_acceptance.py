@@ -47,7 +47,7 @@ from multisrc.trees import (
 )
 
 from . import bruteforce
-from .gradcheck import finite_difference_check, random_param
+from .gradcheck import add, dot, finite_difference_check, mul, random_param, vsum
 from .helpers import treebank_from_sentences
 from .test_metrics import naive_las, naive_lemma_acc, naive_morph_f1, random_pair
 
@@ -185,14 +185,14 @@ def test_criterion_04_gradient_checks_every_layer():
     emb = Embedding(ps, "emb", 4, 3)
     probe3 = T.constant(r.uniform(-1, 1, 3))
     worst = max(worst, finite_difference_check(
-        lambda: T.dot(T.add(emb(1), emb(2)), probe3), [emb.table]))
+        lambda: dot(add(emb(1), emb(2)), probe3), [emb.table]))
 
     # affine
     aff = Affine(ps, "aff", 3, 4)
     x3 = T.constant(r.uniform(-1, 1, 3))
     probe4 = T.constant(r.uniform(-1, 1, 4))
     worst = max(worst, finite_difference_check(
-        lambda: T.dot(aff(x3), probe4), [aff.w, aff.b]))
+        lambda: dot(aff(x3), probe4), [aff.w, aff.b]))
 
     # LSTM cell
     hidden = 3
@@ -206,7 +206,7 @@ def test_criterion_04_gradient_checks_every_layer():
         h0, c0 = T.constant(np.zeros(hidden)), T.constant(np.zeros(hidden))
         hc = T.lstm_cell(xin, h0, c0, w, u, b)
         h1, c1 = T.split_state(hc, hidden)
-        return T.dot(T.lstm_cell(xin, h1, c1, w, u, b), probe6)
+        return dot(T.lstm_cell(xin, h1, c1, w, u, b), probe6)
 
     worst = max(worst, finite_difference_check(cell_loss, [w, u, b, xin]))
 
@@ -215,7 +215,7 @@ def test_criterion_04_gradient_checks_every_layer():
     probe_seq = T.constant(r.uniform(-1, 1, (4, hidden)))
     for reverse in (False, True):
         worst = max(worst, finite_difference_check(
-            lambda: T.vsum(T.mul(T.lstm_sequence(xs, w, u, b, reverse), probe_seq)), [w, u, b, xs]))
+            lambda: vsum(mul(T.lstm_sequence(xs, w, u, b, reverse), probe_seq)), [w, u, b, xs]))
 
     # attention
     from multisrc.nn import AdditiveAttention
@@ -229,7 +229,7 @@ def test_criterion_04_gradient_checks_every_layer():
 
     def att_loss():
         stacked = T.stack([T.constant(e) for e in enc_data])
-        return T.dot(att(query, stacked, att.precompute(stacked)), probe2)
+        return dot(att(query, stacked, att.precompute(stacked)), probe2)
 
     worst = max(worst, finite_difference_check(att_loss, [att.w_query, att.w_enc, att.v, query]))
 
@@ -247,10 +247,8 @@ def test_criterion_04_gradient_checks_every_layer():
 
     def hinge_loss():
         encodings, _ = parser.encoder.encode_sentence(sent, MODE_NONE)
-        scores = parser.score_transitions(state, encodings)
-        good = T.masked_max(scores, [2])
-        bad = T.masked_max(scores, [0, 3, 4])
-        return T.relu(T.add(T.constant(1.0), T.add(bad, T.scale(good, -1.0))))
+        scores = parser.score_transitions(state, parser.scorer_slots(encodings))
+        return T.hinge(scores, [0, 3, 4], [2])
 
     scorer_params = [parser.hidden.w, parser.hidden.b, parser.out.w, parser.out.b,
                      parser.special.table]

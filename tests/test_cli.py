@@ -250,6 +250,7 @@ def _npy_and_npz_bytes():
 NPY_BYTES, NPZ_BYTES = _npy_and_npz_bytes()
 CLASSIFY_PREDICT = ["classify", "predict", "--model", "{model}", "--in",
                     "{data}/dialect_a-dev.conllu", "--source-id", "dialect_a"]
+PCA = ["pca", "--table", "{table}"]
 
 
 @pytest.mark.parametrize(
@@ -275,10 +276,17 @@ CLASSIFY_PREDICT = ["classify", "predict", "--model", "{model}", "--in",
         ("model.npz", b"hello", CLASSIFY_PREDICT, "not an .npz archive"),
         ("model.npz", NPY_BYTES, CLASSIFY_PREDICT, "not an .npz archive"),
         ("model.npz", NPZ_BYTES[: len(NPZ_BYTES) // 2], CLASSIFY_PREDICT, "not an .npz archive"),
+        ("table.tsv", b"source_id\tdim_0\tdim_1\na\t1.0\t2.0\nb\t0.5\tx\n", PCA,
+         "table.tsv: line 3: non-numeric cell"),
+        ("table.tsv", b"source_id\tdim_0\tdim_1\na\t1.0\t2.0\nb\t0.5\n", PCA,
+         "table.tsv: line 3: 2 columns, the header has 3"),
+        ("table.tsv", b"source_id\tdim_0\tdim_1\na\tnan\t2.0\nb\t0.5\t1.0\n", PCA,
+         "table.tsv: line 2: non-finite value"),
     ],
     ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
          "group-source-without-id", "group-registry-list", "group-members-string",
-         "model-text-file", "model-npy-array", "model-truncated-zip"],
+         "model-text-file", "model-npy-array", "model-truncated-zip", "pca-non-numeric",
+         "pca-ragged-row", "pca-non-finite"],
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):
@@ -290,7 +298,7 @@ def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file,
                                "group_id": "amb"}))
     (tmp_path / bad_file).write_bytes(content)
     paths = {"exp": exp, "registry": registry, "data": tmp_path / "data",
-             "model": tmp_path / "model.npz"}
+             "model": tmp_path / "model.npz", "table": tmp_path / "table.tsv"}
     argv = [arg.format(**paths) for arg in argv]
     if argv[0] != "eval":
         argv += ["--out", str(tmp_path / "out")]

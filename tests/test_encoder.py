@@ -14,6 +14,7 @@ from multisrc.errors import DataError
 from multisrc.nn import Optimizer, ParamSet, TrainerConfig
 from multisrc.nn import tensor as T
 
+from .gradcheck import mul, vsum
 from .helpers import sentence_from_words, treebank_from_sentences
 
 CFG = EncoderConfig(word_dim=8, char_dim=6, char_emb_dim=4, source_dim=3, hidden_dim=5)
@@ -136,7 +137,7 @@ def test_gradients_flow_only_into_used_source_row():
     table = encoder.source_table.emb.table
     before = table.data.copy()
     encodings, _ = encoder.encode_sentence(sent, MODE_GOLD)
-    loss = T.vsum(T.mul(encodings[0], encodings[0]))
+    loss = vsum(mul(encodings[0], encodings[0]))
     loss.backward()
     assert np.abs(table.grad[0]).max() > 0
     assert np.all(table.grad[1] == 0)

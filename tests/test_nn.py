@@ -9,7 +9,7 @@ from multisrc.nn.layers import LSTM, AdditiveAttention, Affine, BiLSTM, Embeddin
 from multisrc.nn.optim import Optimizer, TrainerConfig
 from multisrc.nn.tensor import Parameter, constant
 
-from .gradcheck import finite_difference_check, random_param
+from .gradcheck import add, dot, finite_difference_check, mul, random_param, vsum
 
 
 def rng():
@@ -21,7 +21,7 @@ def rng():
 
 def test_backward_of_constant_loss_gives_zero_grads():
     w = random_param(rng(), "w", (3,))
-    loss = T.dot(constant(np.zeros(3)), constant(np.zeros(3)))
+    loss = dot(constant(np.zeros(3)), constant(np.zeros(3)))
     loss.backward()
     assert np.all(w.grad == 0)
 
@@ -30,9 +30,9 @@ def test_hand_derived_quadratic():
     # loss = (w.x - y)^2 with w=[1,2], x=[3,4], y=10 -> dloss/dw = [6, 8]
     w = Parameter("w", np.array([1.0, 2.0]))
     x = constant(np.array([3.0, 4.0]))
-    pred = T.dot(w, x)
-    diff = T.add(pred, constant(-10.0))
-    loss = T.mul(diff, diff)
+    pred = dot(w, x)
+    diff = add(pred, constant(-10.0))
+    loss = mul(diff, diff)
     loss.backward()
     assert np.allclose(w.grad, [6.0, 8.0])
 
@@ -40,14 +40,15 @@ def test_hand_derived_quadratic():
 def test_non_scalar_backward_rejected():
     w = random_param(rng(), "w", (3,))
     with pytest.raises(DataError):
-        T.scale(w, 2.0).backward()
+        T.tanh(w).backward()
 
 
+# add, mul, dot and vsum are the tests' own loss builders (tests/gradcheck.py)
 @pytest.mark.parametrize(
     "op_name",
-    ["add", "mul", "matvec", "vecmat", "matmat", "dot", "concat",
-     "concat_matrix", "stack", "row", "tanh", "sigmoid", "relu", "softmax", "add_rowvec",
-     "pick", "masked_max", "cross_entropy", "narrow", "vsum"],
+    ["add", "mul", "matvec", "affine", "vecmat", "matmat", "dot", "concat",
+     "concat_matrix", "stack", "row", "tanh", "softmax", "add_rowvec",
+     "hinge", "cross_entropy", "total", "narrow", "vsum"],
 )
 def test_finite_difference_per_op(op_name):
     r = np.random.default_rng(7)
@@ -57,33 +58,55 @@ def test_finite_difference_per_op(op_name):
     m2 = random_param(r, "m2", (4, 3))
     probe = constant(r.uniform(-1, 1, size=3))
     probe4 = constant(r.uniform(-1, 1, size=4))
+    c = random_param(r, "c", (3,))
 
     builders = {
-        "add": (lambda: T.dot(T.add(a, b), probe4), [a, b]),
-        "mul": (lambda: T.dot(T.mul(a, b), probe4), [a, b]),
-        "matvec": (lambda: T.dot(T.matvec(m, a), probe), [m, a]),
-        "vecmat": (lambda: T.dot(T.vecmat(a, m2), probe), [a, m2]),
-        "matmat": (lambda: T.vsum(T.matvec(T.matmat(m, m2), probe)), [m, m2]),
-        "dot": (lambda: T.dot(a, b), [a, b]),
-        "concat": (lambda: T.vsum(T.tanh(T.concat([a, b]))), [a, b]),
+        "add": (lambda: dot(add(a, b), probe4), [a, b]),
+        "mul": (lambda: dot(mul(a, b), probe4), [a, b]),
+        "matvec": (lambda: dot(T.matvec(m, a), probe), [m, a]),
+        "affine": (lambda: dot(T.affine(m, a, c), probe), [m, a, c]),
+        "vecmat": (lambda: dot(T.vecmat(a, m2), probe), [a, m2]),
+        "matmat": (lambda: vsum(T.matvec(T.matmat(m, m2), probe)), [m, m2]),
+        "dot": (lambda: dot(a, b), [a, b]),
+        "concat": (lambda: vsum(T.tanh(T.concat([a, b]))), [a, b]),
         "concat_matrix": (
-            lambda: T.vsum(T.matvec(T.concat([m, T.transpose(m2)]), T.concat([a, b]))), [m, m2, a, b]
+            lambda: vsum(T.matvec(T.concat([m, T.transpose(m2)]), T.concat([a, b]))), [m, m2, a, b]
         ),
-        "stack": (lambda: T.vsum(T.matvec(T.stack([a, b, T.tanh(a)]), probe4)), [a, b]),
-        "row": (lambda: T.dot(T.add(T.row(m, 1), T.row(m, -1)), probe4), [m]),
-        "tanh": (lambda: T.dot(T.tanh(a), probe4), [a]),
-        "sigmoid": (lambda: T.dot(T.sigmoid(a), probe4), [a]),
-        "relu": (lambda: T.dot(T.relu(a), probe4), [a]),
-        "softmax": (lambda: T.dot(T.softmax(a), probe4), [a]),
-        "add_rowvec": (lambda: T.dot(T.matvec(T.add_rowvec(m, b), a), probe), [m, b, a]),
-        "pick": (lambda: T.pick(T.tanh(a), 2), [a]),
-        "masked_max": (lambda: T.masked_max(T.tanh(a), [0, 2, 3]), [a]),
+        "stack": (lambda: vsum(T.matvec(T.stack([a, b, T.tanh(a)]), probe4)), [a, b]),
+        "row": (lambda: dot(add(T.row(m, 1), T.row(m, -1)), probe4), [m]),
+        "tanh": (lambda: dot(T.tanh(a), probe4), [a]),
+        "softmax": (lambda: dot(T.softmax(a), probe4), [a]),
+        "add_rowvec": (lambda: dot(T.matvec(T.add_rowvec(m, b), a), probe), [m, b, a]),
+        "hinge": (lambda: T.hinge(T.tanh(a), [0, 2], [1, 3]), [a]),
         "cross_entropy": (lambda: T.cross_entropy(T.matvec(m, a), 1), [m, a]),
-        "narrow": (lambda: T.dot(T.narrow(a, 1, 2), constant([0.3, -0.7])), [a]),
-        "vsum": (lambda: T.vsum(T.sigmoid(a)), [a]),
+        "total": (lambda: T.total([dot(a, b), T.cross_entropy(T.matvec(m, a), 1), dot(c, probe)]),
+                  [a, b, m, c]),
+        "narrow": (lambda: dot(T.narrow(a, 1, 2), constant([0.3, -0.7])), [a]),
+        "vsum": (lambda: vsum(T.tanh(a)), [a]),
     }
     build, params = builders[op_name]
     finite_difference_check(build, params)
+
+
+def test_hinge_ties_go_to_the_lowest_index_and_total_folds_left_to_right():
+    scores = Parameter("scores", np.array([0.5, 2.0, 2.0, -1.0, -1.0]))
+    margin = T.hinge(scores, [2, 1], [4, 3])
+    assert float(margin.data) == 4.0
+    T.total([margin, margin]).backward()  # margin's grad g is 2
+    assert np.array_equal(scores.grad, [0.0, 2.0, 0.0, -2.0, 0.0])
+
+    cancelling = [constant(v) for v in (1e16, 1.0, -1e16, 1.0)]
+    assert float(T.total(cancelling).data) == 1.0  # exact sum is 2
+    values = np.random.default_rng(0).standard_normal(40)
+    fold = values[0]
+    for v in values[1:]:
+        fold = fold + v
+    assert fold != np.sum(values)  # numpy's pairwise sum rounds differently here
+    assert T.total([constant(v) for v in values]).data.tobytes() == np.float64(fold).tobytes()
+    with pytest.raises(DataError):
+        T.total([])
+    with pytest.raises(DataError):
+        T.hinge(scores, [], [0])
 
 
 def test_lstm_cell_gradcheck():
@@ -101,7 +124,7 @@ def test_lstm_cell_gradcheck():
         hc1 = T.lstm_cell(x, h0, c0, w, u, b)
         h1, c1 = T.split_state(hc1, hidden)
         hc2 = T.lstm_cell(x, h1, c1, w, u, b)
-        return T.dot(hc2, probe)
+        return dot(hc2, probe)
 
     finite_difference_check(build, [w, u, b, x])
 
@@ -117,7 +140,7 @@ def test_lstm_sequence_gradcheck(reverse):
     probe = constant(r.uniform(-1, 1, (n, hidden)))
 
     def build():
-        return T.vsum(T.mul(T.lstm_sequence(xs, w, u, b, reverse), probe))
+        return vsum(mul(T.lstm_sequence(xs, w, u, b, reverse), probe))
 
     finite_difference_check(build, [w, u, b, xs])
 
@@ -149,7 +172,7 @@ def test_lstm_sequence_matches_the_step_by_step_cell_loop(n, in_dim, hidden, rev
     for run in (_step_by_step, T.lstm_sequence):
         ps = {name: Parameter(name, v.copy()) for name, v in values.items()}
         out = run(ps["xs"], ps["w"], ps["u"], ps["b"], reverse)
-        T.vsum(T.mul(out, probe)).backward()
+        vsum(mul(out, probe)).backward()
         results.append((out.data, {name: p.grad for name, p in ps.items()}))
     (old_out, old_grads), (new_out, new_grads) = results
     assert np.allclose(new_out, old_out, rtol=0, atol=1e-12)
@@ -172,7 +195,7 @@ def test_embedding_lookup_and_repeat_accumulation():
 
     def build():
         # same row looked up twice: gradient sums both contributions
-        return T.dot(T.add(emb(1), emb(1)), probe)
+        return dot(add(emb(1), emb(1)), probe)
 
     finite_difference_check(build, [emb.table])
     emb.table.zero_grad()
@@ -191,12 +214,12 @@ def test_embedding_many_row_lookup_gradcheck_and_repeats():
     probe = constant(np.random.default_rng(8).uniform(-1, 1, (4, 3)))
 
     def build():
-        return T.vsum(T.mul(T.tanh(emb.rows([1, 3, 1, 0])), probe))
+        return vsum(mul(T.tanh(emb.rows([1, 3, 1, 0])), probe))
 
     finite_difference_check(build, [emb.table])
     assert np.array_equal(emb.rows([2, 0]).data, emb.table.data[[2, 0]])
     emb.table.zero_grad()
-    T.vsum(T.mul(emb.rows([1, 3, 1, 0]), probe)).backward()
+    vsum(mul(emb.rows([1, 3, 1, 0]), probe)).backward()
     assert np.allclose(emb.table.grad[1], probe.data[0] + probe.data[2])
     assert np.all(emb.table.grad[[2, 4]] == 0)
     for bad in ([], [5], [0, -1]):
@@ -261,7 +284,7 @@ def test_bilstm_gradcheck():
 
     def build():
         outs = net.run(T.stack([constant(x) for x in seq_data]))
-        return T.dot(T.row(outs, 1), probe)
+        return dot(T.row(outs, 1), probe)
 
     finite_difference_check(build, ps.all())
 
@@ -279,7 +302,7 @@ def test_attention_gradcheck():
     def build():
         stacked = T.stack([constant(e) for e in enc_data])
         ctx = att(query, stacked, att.precompute(stacked))
-        return T.dot(ctx, probe)
+        return dot(ctx, probe)
 
     finite_difference_check(build, [att.w_query, att.w_enc, att.v, query])
 

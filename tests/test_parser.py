@@ -62,10 +62,11 @@ def test_score_vector_shape_and_determinism():
     model = build_model(data)
     sent, gold = data[0]
     encodings, _ = model.encoder.encode_sentence(sent, MODE_NONE)
+    slots = model.scorer_slots(encodings)
     state = ParserState.initial(len(gold))
-    scores = model.score_transitions(state, encodings)
+    scores = model.score_transitions(state, slots)
     assert scores.data.shape == (2 * len(model.labels) + 2,)
-    again = model.score_transitions(state, encodings)
+    again = model.score_transitions(state, slots)
     assert np.array_equal(scores.data, again.data)
 
 

@@ -96,8 +96,8 @@ def test_tag_output_length_and_empty_sentence():
     tb = identity_corpus()
     model = build_model(tb)
     sent = tb.sentences[-1]
-    assert len(model.tag_sentence(sent, MODE_NONE)) == len(sent.tokens)
-    assert model.tag_sentence(Sentence(tokens=[]), MODE_NONE) == []
+    assert len(model.annotate_sentence(sent, MODE_NONE)) == len(sent.tokens)
+    assert model.annotate_sentence(Sentence(tokens=[]), MODE_NONE) == []
 
 
 def test_overfit_tags_and_identity_lemmas():
@@ -136,10 +136,10 @@ def test_losses_strictly_decrease_over_first_epochs():
     assert history["lemma_loss"][0] > history["lemma_loss"][1] > history["lemma_loss"][2]
 
 
-def test_lemma_training_converges_with_tag_loss_disabled():
+def test_lemma_training_converges_beside_the_tag_loss():
     tb = identity_corpus()
     model = build_model(tb, seed=6)
-    history = train_joint(model, [tb], MODE_NONE, trainer(30), tag_loss_weight=0.0)
+    history = train_joint(model, [tb], MODE_NONE, trainer(30))
     assert history["lemma_loss"][-1] < history["lemma_loss"][0] / 5
     pred = model.annotate_treebank(tb, MODE_NONE)
     lemma_hits = sum(
