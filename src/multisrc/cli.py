@@ -237,7 +237,7 @@ def cmd_experiment(args) -> int:
 def cmd_pca(args) -> int:
     lines = Path(args.table).read_text(encoding="utf-8").rstrip().split("\n")
     if len(lines) < 2:
-        raise UsageError("pca: table has no data rows")
+        raise DataError(f"{args.table}: the table has no data rows")
     width = len(lines[0].split("\t"))
     members, vectors = [], []
     for line_no, line in enumerate(lines[1:], start=2):

@@ -106,10 +106,16 @@ class LSTM:
         self.u = params.matrix(f"{name}.u", 4 * hidden, hidden)
         self.b = params.vector(f"{name}.b", 4 * hidden)
 
-    def step(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        h, c = state
-        hc = T.lstm_cell(x, h, c, self.w, self.u, self.b)
-        return T.split_state(hc, self.hidden)
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step on plain arrays, building no graph: (h', c') after reading x.
+
+        Gate layout along the 4H axis: input, forget, output, candidate.
+        """
+        hidden = self.hidden
+        z = self.w.data @ x + self.u.data @ h + self.b.data
+        i, f, o = 1.0 / (1.0 + np.exp(-z[: 3 * hidden].reshape(3, hidden)))
+        c = f * c + i * np.tanh(z[3 * hidden :])
+        return o * np.tanh(c), c
 
     def run(self, inputs: Tensor, reverse: bool = False) -> Tensor:
         """Hidden states of the (n, in_dim) inputs as an (n, hidden) matrix."""
@@ -133,19 +139,10 @@ class BiLSTM:
 
 
 class AdditiveAttention:
-    """Single-head additive attention over the rows of an encoding matrix."""
+    """The parameters of single-head additive attention over the rows of an
+    encoding matrix; `T.lemma_sequence` and `T.lemma_logits` apply them."""
 
     def __init__(self, params: ParamSet, name: str, query_dim: int, enc_dim: int, hidden: int):
         self.w_query = params.matrix(f"{name}.wq", hidden, query_dim)
         self.w_enc = params.matrix(f"{name}.we", hidden, enc_dim)
         self.v = params.vector(f"{name}.v", hidden)
-
-    def precompute(self, encodings: Tensor) -> Tensor:
-        """Project the (n, enc_dim) encodings once; reuse across decode steps."""
-        return T.matmat(encodings, T.transpose(self.w_enc))
-
-    def __call__(self, query: Tensor, encodings: Tensor, projected: Tensor) -> Tensor:
-        q = T.matvec(self.w_query, query)
-        scores = T.matvec(T.tanh(T.add_rowvec(projected, q)), self.v)
-        weights = T.softmax(scores)
-        return T.vecmat(weights, encodings)

@@ -5,11 +5,13 @@ accumulates gradients into them.  Graphs are per-sentence and small, so
 clarity and determinism win over batching: one op call = one node.
 Composite ops carry an analytic backward so that the pieces the models
 repeat most are one node each: `lstm_sequence` runs a whole encoder LSTM
-(every char and sentence BiLSTM direction), `lstm_cell` is the single
-step the lemma decoder takes between attention reads, `affine` is a
-layer's `w @ x + b`, `hinge` is the parser's margin between its best
-costly and best zero-cost transition, and `total` sums a sentence's
-scalar losses.
+(every char and sentence BiLSTM direction), `lemma_sequence` a whole
+teacher-forced lemma through the attention decoder (LSTM, attention,
+output head and the summed cross-entropies), `affine` is a layer's
+`w @ x + b`, `hinge` is the parser's margin between its best costly and
+best zero-cost transition, and `total` sums a sentence's scalar losses.
+Greedy lemma decoding builds no graph: it steps `LSTM.step` and
+`lemma_logits` on plain arrays.
 """
 
 from __future__ import annotations
@@ -89,35 +91,8 @@ class Parameter(Tensor):
         self.grad[...] = 0.0
 
 
-def constant(values) -> Tensor:
-    return Tensor(np.asarray(values, dtype=np.float64))
-
-
 def _node(data, parents, backward) -> Tensor:
     return Tensor(data, parents=tuple(parents), backward=backward)
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Broadcast-add a vector to every row of a matrix."""
-    if m.data.ndim != 2 or m.data.shape[1] != v.data.shape[0]:
-        raise DataError(f"add_rowvec shape mismatch {m.data.shape} vs {v.data.shape}")
-
-    def backward(g):
-        m._accumulate(g)
-        v._accumulate(g.sum(axis=0))
-
-    return _node(m.data + v.data[None, :], (m, v), backward)
-
-
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    if m.data.ndim != 2 or m.data.shape[1] != v.data.shape[0]:
-        raise DataError(f"matvec shape mismatch {m.data.shape} @ {v.data.shape}")
-
-    def backward(g):
-        m._accumulate(np.outer(g, v.data))
-        v._accumulate(m.data.T @ g)
-
-    return _node(m.data @ v.data, (m, v), backward)
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
@@ -131,28 +106,6 @@ def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
         b._accumulate(g)
 
     return _node(w.data @ x.data + b.data, (w, x, b), backward)
-
-
-def vecmat(v: Tensor, m: Tensor) -> Tensor:
-    if m.data.ndim != 2 or v.data.shape[0] != m.data.shape[0]:
-        raise DataError(f"vecmat shape mismatch {v.data.shape} @ {m.data.shape}")
-
-    def backward(g):
-        v._accumulate(m.data @ g)
-        m._accumulate(np.outer(v.data, g))
-
-    return _node(v.data @ m.data, (v, m), backward)
-
-
-def matmat(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DataError(f"matmat shape mismatch {a.data.shape} @ {b.data.shape}")
-
-    def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), backward)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -191,15 +144,6 @@ def row(m: Tensor, index: int) -> Tensor:
     return _node(m.data[index].copy(), (m,), backward)
 
 
-def narrow(t: Tensor, start: int, length: int) -> Tensor:
-    def backward(g):
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad[start : start + length] += g
-
-    return _node(t.data[start : start + length].copy(), (t,), backward)
-
-
 def tanh(t: Tensor) -> Tensor:
     out = np.tanh(t.data)
 
@@ -207,17 +151,6 @@ def tanh(t: Tensor) -> Tensor:
         t._accumulate(g * (1.0 - out * out))
 
     return _node(out, (t,), backward)
-
-
-def softmax(t: Tensor) -> Tensor:
-    shifted = t.data - t.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-
-    def backward(g):
-        t._accumulate(p * (g - float(p @ g)))
-
-    return _node(p, (t,), backward)
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
@@ -272,63 +205,20 @@ def total(parts: list[Tensor]) -> Tensor:
     return _node(value, parts, backward)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step, fused; returns [h'; c'] stacked (see split_state).
+def _lstm_forward(gates: np.ndarray, u: np.ndarray, h0: np.ndarray, reverse: bool):
+    """The LSTM recurrence from state (h0, 0) over precomputed input projections.
 
-    Gate layout along the 4H axis: input, forget, output, candidate.
+    `gates` (n, 4H) holds each step's `w @ x + b`; it is overwritten with the
+    step's activated gates, which the backward pass reads.  Returns the
+    (n, H) cell and hidden states, row t the state after step t.
     """
-    hidden = h.data.shape[0]
-    z = w.data @ x.data + u.data @ h.data + b.data
-    i = 1.0 / (1.0 + np.exp(-z[:hidden]))
-    f = 1.0 / (1.0 + np.exp(-z[hidden : 2 * hidden]))
-    o = 1.0 / (1.0 + np.exp(-z[2 * hidden : 3 * hidden]))
-    g_cand = np.tanh(z[3 * hidden :])
-    c_new = f * c.data + i * g_cand
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-
-    def backward(grad):
-        gh, gc_out = grad[:hidden], grad[hidden:]
-        gc = gc_out + gh * o * (1.0 - tanh_c * tanh_c)
-        gz = np.concatenate(
-            [
-                gc * g_cand * i * (1.0 - i),
-                gc * c.data * f * (1.0 - f),
-                gh * tanh_c * o * (1.0 - o),
-                gc * i * (1.0 - g_cand * g_cand),
-            ]
-        )
-        w._accumulate(np.outer(gz, x.data))
-        u._accumulate(np.outer(gz, h.data))
-        b._accumulate(gz)
-        x._accumulate(w.data.T @ gz)
-        h._accumulate(u.data.T @ gz)
-        c._accumulate(gc * f)
-
-    return _node(np.concatenate([h_new, c_new]), (x, h, c, w, u, b), backward)
-
-
-def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """A whole LSTM pass from zero state, fused; returns the (n, H) hidden states.
-
-    Row t of the output is the state after reading xs[t], in input order:
-    with `reverse` the recurrence starts at the last row, so row t has read
-    xs[t:].  Gate layout along the 4H axis is `lstm_cell`'s (input, forget,
-    output, candidate).  The input projection of every timestep is one
-    matmul; the backward closure runs the recurrence's BPTT and then
-    accumulates the w, u, b and xs grads as three matmuls and a row-sum.
-    """
-    if xs.data.ndim != 2 or xs.data.shape[0] == 0:
-        raise DataError(f"lstm_sequence needs a non-empty (n, d) input, got {xs.data.shape}")
-    n, hidden = xs.data.shape[0], u.data.shape[1]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    gates = xs.data @ w.data.T + b.data  # input projections, overwritten step by step
+    n, hidden = gates.shape[0], u.shape[1]
     cs = np.empty((n, hidden))
     hs = np.empty((n, hidden))
-    h, c = np.zeros(hidden), np.zeros(hidden)
-    for t in order:
+    h, c = h0, np.zeros(hidden)
+    for t in range(n - 1, -1, -1) if reverse else range(n):
         z = gates[t]
-        z += u.data @ h
+        z += u @ h
         sig = z[: 3 * hidden]
         np.reciprocal(1.0 + np.exp(-sig), out=sig)
         np.tanh(z[3 * hidden :], out=z[3 * hidden :])
@@ -336,34 +226,62 @@ def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = F
         c = f * c + i * g_cand
         cs[t] = c
         h = hs[t] = o * np.tanh(c)
+    return cs, hs
+
+
+def _lstm_backward(grad, gates, cs, hs, u, h0, reverse: bool):
+    """BPTT through `_lstm_forward`, given the (n, H) grad of its hidden states.
+
+    Returns the (n, 4H) grads of the gate inputs, the (n, H) hidden state
+    each step read, and the grad of h0.
+    """
+    n, hidden = hs.shape
+    i, f, o, g_cand = gates.reshape(n, 4, hidden).transpose(1, 0, 2)
+    tanh_c = np.tanh(cs)
+    c_prev = np.zeros_like(cs)
+    h_prev = np.empty_like(hs)
+    if reverse:
+        c_prev[:-1], h_prev[:-1], h_prev[-1] = cs[1:], hs[1:], h0
+    else:
+        c_prev[1:], h_prev[1:], h_prev[0] = cs[:-1], hs[:-1], h0
+    # a step's gate grads: coeff times its cell grad for i, f and candidate, times its h grad for o
+    coeff = np.empty((n, 4, hidden))
+    coeff[:, 0] = g_cand * i * (1.0 - i)
+    coeff[:, 1] = c_prev * f * (1.0 - f)
+    coeff[:, 2] = tanh_c * o * (1.0 - o)
+    coeff[:, 3] = i * (1.0 - g_cand * g_cand)
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    gz = np.empty((n, 4, hidden))
+    gh, gc = np.zeros(hidden), np.zeros(hidden)
+    u_t = u.T
+    for t in range(n) if reverse else range(n - 1, -1, -1):
+        gh = grad[t] + gh
+        gc = gc + gh * dc_dh[t]
+        np.multiply(coeff[t], gc, out=gz[t])
+        np.multiply(coeff[t, 2], gh, out=gz[t, 2])
+        gh = u_t @ gz[t].reshape(-1)
+        gc = gc * f[t]
+    return gz.reshape(n, 4 * hidden), h_prev, gh
+
+
+def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """A whole LSTM pass from zero state, fused; returns the (n, H) hidden states.
+
+    Row t of the output is the state after reading xs[t], in input order:
+    with `reverse` the recurrence starts at the last row, so row t has read
+    xs[t:].  Gate layout along the 4H axis: input, forget, output,
+    candidate.  The input projection of every timestep is one matmul; the
+    backward closure runs the recurrence's BPTT and then accumulates the w,
+    u, b and xs grads as three matmuls and a row-sum.
+    """
+    if xs.data.ndim != 2 or xs.data.shape[0] == 0:
+        raise DataError(f"lstm_sequence needs a non-empty (n, d) input, got {xs.data.shape}")
+    h0 = np.zeros(u.data.shape[1])
+    gates = xs.data @ w.data.T + b.data
+    cs, hs = _lstm_forward(gates, u.data, h0, reverse)
 
     def backward(grad):
-        i, f, o, g_cand = gates.reshape(n, 4, hidden).transpose(1, 0, 2)
-        tanh_c = np.tanh(cs)
-        c_prev = np.zeros_like(cs)
-        h_prev = np.zeros_like(hs)
-        if reverse:
-            c_prev[:-1], h_prev[:-1] = cs[1:], hs[1:]
-        else:
-            c_prev[1:], h_prev[1:] = cs[:-1], hs[:-1]
-        # a step's gate grads: coeff times its cell grad for i, f and candidate, times its h grad for o
-        coeff = np.empty((n, 4, hidden))
-        coeff[:, 0] = g_cand * i * (1.0 - i)
-        coeff[:, 1] = c_prev * f * (1.0 - f)
-        coeff[:, 2] = tanh_c * o * (1.0 - o)
-        coeff[:, 3] = i * (1.0 - g_cand * g_cand)
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
-        gz = np.empty((n, 4, hidden))
-        gh, gc = np.zeros(hidden), np.zeros(hidden)
-        u_t = u.data.T
-        for t in reversed(order):
-            gh = grad[t] + gh
-            gc = gc + gh * dc_dh[t]
-            np.multiply(coeff[t], gc, out=gz[t])
-            np.multiply(coeff[t, 2], gh, out=gz[t, 2])
-            gh = u_t @ gz[t].reshape(-1)
-            gc = gc * f[t]
-        gz = gz.reshape(n, 4 * hidden)
+        gz, h_prev, _ = _lstm_backward(grad, gates, cs, hs, u.data, h0, reverse)
         w._accumulate(gz.T @ xs.data)
         u._accumulate(gz.T @ h_prev)
         b._accumulate(gz.sum(axis=0))
@@ -372,15 +290,81 @@ def lstm_sequence(xs: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = F
     return _node(hs, (xs, w, u, b), backward)
 
 
-def split_state(hc: Tensor, hidden: int) -> tuple[Tensor, Tensor]:
-    """Split a stacked [h; c] state back into (h, c) views."""
-    return narrow(hc, 0, hidden), narrow(hc, hidden, hidden)
+def lemma_logits(hs, chars, keys, w_query, v, w_out, b_out):
+    """The lemma decoder's attention read and output head on plain arrays.
+
+    Each row of the (m, H) decoder states `hs` attends over the (n, C)
+    per-character encodings `chars`, whose (n, A) attention keys are
+    `chars @ w_enc.T`.  Returns the (m, n, A) tanh activations, the (m, n)
+    attention weights, the (m, H + C) [state; context] features and the
+    (m, V) logits.  Greedy decoding calls it one state at a time.
+    """
+    act = np.tanh(keys + (hs @ w_query.T)[:, None, :])
+    scores = act @ v
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    features = np.concatenate([hs, weights @ chars], axis=1)
+    return act, weights, features, features @ w_out.T + b_out
 
 
-def transpose(t: Tensor) -> Tensor:
-    """Differentiable transpose of a 2-D tensor."""
+def lemma_sequence(h0: Tensor, chars: Tensor, tag: Tensor, prev: Tensor, targets: list[int],
+                   lstm, attention, head) -> Tensor:
+    """A whole teacher-forced lemma through the attention decoder, fused;
+    returns the summed cross-entropy of the `targets` ids.
+
+    Step t feeds the LSTM `lstm = (w, u, b)` the input [prev[t]; tag] from
+    state (h0, 0), reads the (n, C) per-character encodings `chars` with
+    additive attention `attention = (w_query, w_enc, v)`, and scores
+    [h_t; context_t] with the output head `head = (w_out, b_out)`.  The
+    input projection of every step and the output head are one matmul
+    each, and the attention reads of all steps are batched after the
+    recurrence, which does not depend on them.  The backward closure is
+    analytic: the head and attention grads as batched matmuls, then
+    `lstm_sequence`'s BPTT, which also yields the grad of h0.
+    """
+    (w, u, b), (w_query, w_enc, v), (w_out, b_out) = lstm, attention, head
+    steps, char_dim = prev.data.shape
+    if steps != len(targets) or steps == 0:
+        raise DataError(f"lemma_sequence needs one input row per target, "
+                        f"got {steps} rows for {len(targets)} targets")
+    if not all(0 <= t < b_out.data.shape[0] for t in targets):
+        raise DataError(f"lemma_sequence targets {targets} out of range {b_out.data.shape[0]}")
+    hidden = u.data.shape[1]
+    w_char, w_tag = w.data[:, :char_dim], w.data[:, char_dim:]
+    gates = prev.data @ w_char.T + (w_tag @ tag.data + b.data)
+    cs, hs = _lstm_forward(gates, u.data, h0.data, False)
+    keys = chars.data @ w_enc.data.T
+    act, weights, features, logits = lemma_logits(
+        hs, chars.data, keys, w_query.data, v.data, w_out.data, b_out.data)
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    picked = (np.arange(steps), targets)
 
     def backward(g):
-        t._accumulate(g.T)
+        g_logits = np.exp(logits - lse[:, None])
+        g_logits[picked] -= 1.0
+        g_logits *= g
+        w_out._accumulate(g_logits.T @ features)
+        b_out._accumulate(g_logits.sum(axis=0))
+        g_features = g_logits @ w_out.data
+        g_hs, g_context = g_features[:, :hidden], g_features[:, hidden:]
+        g_weights = g_context @ chars.data.T
+        g_scores = weights * (g_weights - (weights * g_weights).sum(axis=1, keepdims=True))
+        v._accumulate(g_scores.reshape(-1) @ act.reshape(-1, act.shape[2]))
+        g_pre = g_scores[:, :, None] * v.data * (1.0 - act * act)
+        g_keys, g_queries = g_pre.sum(axis=0), g_pre.sum(axis=1)
+        w_enc._accumulate(g_keys.T @ chars.data)
+        chars._accumulate(weights.T @ g_context + g_keys @ w_enc.data)
+        w_query._accumulate(g_queries.T @ hs)
+        g_hs = g_hs + g_queries @ w_query.data
+        gz, h_prev, g_h0 = _lstm_backward(g_hs, gates, cs, hs, u.data, h0.data, False)
+        g_bias = gz.sum(axis=0)
+        w._accumulate(np.concatenate([gz.T @ prev.data, np.outer(g_bias, tag.data)], axis=1))
+        u._accumulate(gz.T @ h_prev)
+        b._accumulate(g_bias)
+        prev._accumulate(gz @ w_char)
+        tag._accumulate(w_tag.T @ g_bias)
+        h0._accumulate(g_h0)
 
-    return _node(t.data.T.copy(), (t,), backward)
+    parents = (h0, chars, tag, prev, w, u, b, w_query, w_enc, v, w_out, b_out)
+    return _node((lse - logits[picked]).sum(), parents, backward)

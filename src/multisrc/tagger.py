@@ -95,55 +95,56 @@ class JointTagger:
 
     # -- lemmatization ---------------------------------------------------------
 
-    def _decoder_steps(self, token_encoding, char_encodings, bundle_id):
-        """Stateful step closure shared by decoding and teacher forcing."""
-        projected = self.attention.precompute(char_encodings)
-        tag_vec = self.tag_emb(bundle_id)
-        h = T.tanh(self.dec_init(token_encoding))
-        c = T.constant(np.zeros(self.config.decoder_hidden))
-        state = {"h": h, "c": c}
-
-        def step(prev_char_index: int):
-            x = T.concat([self.dec_char_emb(prev_char_index), tag_vec])
-            state["h"], state["c"] = self.decoder.step(x, (state["h"], state["c"]))
-            context = self.attention(state["h"], char_encodings, projected)
-            return self.out_head(T.concat([state["h"], context]))
-
-        return step
+    def _decoder_params(self):
+        """The decoder's (LSTM, attention, output head) parameters, as
+        `T.lemma_sequence` takes them."""
+        dec, att, out = self.decoder, self.attention, self.out_head
+        return (dec.w, dec.u, dec.b), (att.w_query, att.w_enc, att.v), (out.w, out.b)
 
     def decode_lemma(self, token_encoding, char_encodings, form: str, bundle: str) -> str:
         """Greedy decode until EOS or the hard length cap 2*|form|+8.
 
         `char_encodings` are the form's per-character encodings from the
-        sentence's `encode_sentence` pass.
+        sentence's `encode_sentence` pass.  Decoding reads only values, so
+        it builds no graph: each step is `LSTM.step` and `T.lemma_logits`
+        on plain arrays.
         """
         if not form:
             raise DataError("cannot lemmatize an empty form")
         if bundle not in self.bundle_index:
             raise DataError(f"unknown bundle {bundle!r}")
-        step = self._decoder_steps(token_encoding, char_encodings, self.bundle_index[bundle])
+        _, (w_query, w_enc, v), (w_out, b_out) = self._decoder_params()
+        chars = char_encodings.data
+        keys = chars @ w_enc.data.T
+        tag = self.tag_emb.table.data[self.bundle_index[bundle]]
+        h = np.tanh(self.dec_init.w.data @ token_encoding.data + self.dec_init.b.data)
+        c = np.zeros_like(h)
         prev = 0  # begin-of-sequence
-        chars = []
+        lemma = []
         for _ in range(max_lemma_length(form)):
-            logits = step(prev)
-            best = int(np.argmax(logits.data))
+            h, c = self.decoder.step(np.concatenate([self.dec_char_emb.table.data[prev], tag]), h, c)
+            *_, logits = T.lemma_logits(h[None], chars, keys, w_query.data, v.data,
+                                        w_out.data, b_out.data)
+            best = int(np.argmax(logits[0]))
             if best == EOS:
                 break
-            chars.append(self.lemma_chars[best - 1])
+            lemma.append(self.lemma_chars[best - 1])
             prev = best
-        return "".join(chars)
+        return "".join(lemma)
 
     def lemma_loss(self, token_encoding, char_encodings, gold_lemma: str, gold_bundle: str):
-        """Teacher-forced cross-entropy over the gold character sequence."""
-        bundle_id = self.bundle_index[gold_bundle]
-        step = self._decoder_steps(token_encoding, char_encodings, bundle_id)
+        """Teacher-forced cross-entropy over the gold character sequence, one
+        `T.lemma_sequence` node."""
         try:
             targets = [self.char_out_index[ch] for ch in gold_lemma]
         except KeyError as exc:
             raise DataError(f"lemma char {exc.args[0]!r} missing from the inventory") from None
         targets.append(EOS)
+        h0 = T.tanh(self.dec_init(token_encoding))
+        tag = self.tag_emb(self.bundle_index[gold_bundle])
         # each step reads the previous gold char; the first reads begin-of-sequence (0)
-        return T.total([T.cross_entropy(step(prev), target) for prev, target in zip([0, *targets], targets)])
+        prev = self.dec_char_emb.rows([0, *targets[:-1]])
+        return T.lemma_sequence(h0, char_encodings, tag, prev, targets, *self._decoder_params())
 
     # -- full-sentence prediction -------------------------------------------
 

@@ -1,10 +1,16 @@
 """Central finite-difference gradient checking used across the nn tests,
-plus the elementwise ops the tests build their scalar losses from (the
-models need none of them, so `multisrc.nn.tensor` does not carry them)."""
+plus the constant leaves and elementwise ops the tests build their scalar
+losses from (the models need none of them, so `multisrc.nn.tensor` does not
+carry them)."""
 
 import numpy as np
 
 from multisrc.nn.tensor import Parameter, Tensor
+
+
+def constant(values) -> Tensor:
+    """A leaf holding input data; its grad is never read."""
+    return Tensor(np.asarray(values, dtype=np.float64))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -47,7 +47,8 @@ from multisrc.trees import (
 )
 
 from . import bruteforce
-from .gradcheck import add, dot, finite_difference_check, mul, random_param, vsum
+from . import decoder_reference as R
+from .gradcheck import add, constant, dot, finite_difference_check, mul, random_param, vsum
 from .helpers import treebank_from_sentences
 from .test_metrics import naive_las, naive_lemma_acc, naive_morph_f1, random_pair
 
@@ -183,14 +184,14 @@ def test_criterion_04_gradient_checks_every_layer():
     # embedding
     ps = ParamSet(r)
     emb = Embedding(ps, "emb", 4, 3)
-    probe3 = T.constant(r.uniform(-1, 1, 3))
+    probe3 = constant(r.uniform(-1, 1, 3))
     worst = max(worst, finite_difference_check(
         lambda: dot(add(emb(1), emb(2)), probe3), [emb.table]))
 
     # affine
     aff = Affine(ps, "aff", 3, 4)
-    x3 = T.constant(r.uniform(-1, 1, 3))
-    probe4 = T.constant(r.uniform(-1, 1, 4))
+    x3 = constant(r.uniform(-1, 1, 3))
+    probe4 = constant(r.uniform(-1, 1, 4))
     worst = max(worst, finite_difference_check(
         lambda: dot(aff(x3), probe4), [aff.w, aff.b]))
 
@@ -200,19 +201,19 @@ def test_criterion_04_gradient_checks_every_layer():
     u = random_param(r, "u", (4 * hidden, hidden))
     b = random_param(r, "b", (4 * hidden,))
     xin = random_param(r, "x", (2,))
-    probe6 = T.constant(r.uniform(-1, 1, 2 * hidden))
+    probe6 = constant(r.uniform(-1, 1, 2 * hidden))
 
     def cell_loss():
-        h0, c0 = T.constant(np.zeros(hidden)), T.constant(np.zeros(hidden))
-        hc = T.lstm_cell(xin, h0, c0, w, u, b)
-        h1, c1 = T.split_state(hc, hidden)
-        return dot(T.lstm_cell(xin, h1, c1, w, u, b), probe6)
+        h0, c0 = constant(np.zeros(hidden)), constant(np.zeros(hidden))
+        hc = R.lstm_cell(xin, h0, c0, w, u, b)
+        h1, c1 = R.split_state(hc, hidden)
+        return dot(R.lstm_cell(xin, h1, c1, w, u, b), probe6)
 
     worst = max(worst, finite_difference_check(cell_loss, [w, u, b, xin]))
 
     # fused LSTM sequence, both directions, over a 4-step input matrix
     xs = random_param(r, "xs", (4, 2))
-    probe_seq = T.constant(r.uniform(-1, 1, (4, hidden)))
+    probe_seq = constant(r.uniform(-1, 1, (4, hidden)))
     for reverse in (False, True):
         worst = max(worst, finite_difference_check(
             lambda: vsum(mul(T.lstm_sequence(xs, w, u, b, reverse), probe_seq)), [w, u, b, xs]))
@@ -225,13 +226,20 @@ def test_criterion_04_gradient_checks_every_layer():
     att.v.data = np.random.default_rng(1).uniform(-0.5, 0.5, 3)
     query = random_param(r, "q", (3,))
     enc_data = [r.uniform(-1, 1, 2) for _ in range(3)]
-    probe2 = T.constant(r.uniform(-1, 1, 2))
+    probe2 = constant(r.uniform(-1, 1, 2))
+    params = (att.w_query, att.w_enc, att.v)
 
     def att_loss():
-        stacked = T.stack([T.constant(e) for e in enc_data])
-        return dot(att(query, stacked, att.precompute(stacked)), probe2)
+        stacked = T.stack([constant(e) for e in enc_data])
+        return dot(R.attend(params, query, stacked, R.attention_keys(params, stacked)), probe2)
 
-    worst = max(worst, finite_difference_check(att_loss, [att.w_query, att.w_enc, att.v, query]))
+    worst = max(worst, finite_difference_check(att_loss, [*params, query]))
+
+    # fused teacher-forced lemma decoder: LSTM, attention, head and summed cross-entropy
+    h0, chars, tag, prev, lstm, attention, head = R.random_lemma_inputs(r, 3, 5)
+    worst = max(worst, finite_difference_check(
+        lambda: T.lemma_sequence(h0, chars, tag, prev, [2, 2, 1, 3, 0], lstm, attention, head),
+        [h0, chars, tag, prev, *lstm, *attention, *head]))
 
     # parser scorer with the margin hinge loss (loss #1)
     tb = treebank_from_sentences("s", [["aa", "bb"]])
@@ -265,7 +273,8 @@ def test_criterion_04_gradient_checks_every_layer():
     worst = max(worst, finite_difference_check(ce_loss, encoder_params))
 
     elapsed = time.time() - started
-    report(4, "finite differences < 1e-4 for embedding/affine/LSTM/attention/scorer/losses",
+    report(4, "finite differences < 1e-4 for embedding/affine/LSTM/attention/lemma decoder/"
+              "scorer/losses",
            worst < 1e-4 and elapsed < 60, f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 

@@ -42,3 +42,6 @@ def test_traced_tag_lemma_benchmark_run_is_correct():
         assert metrics[hooked]["value"] > 0, hooked
     tokens = metrics["cell.train_tokens"]["value"] + metrics["cell.predict_tokens"]["value"]
     assert metrics["encoder.char_sequence.calls"]["value"] == tokens  # one char pass per token
+    # one fused node per teacher-forced lemma (18.2 per training token when
+    # written); a change that regrows the decoder's graph fails here
+    assert metrics["nn.tensor.nodes"]["value"] <= 20

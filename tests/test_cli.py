@@ -282,11 +282,12 @@ PCA = ["pca", "--table", "{table}"]
          "table.tsv: line 3: 2 columns, the header has 3"),
         ("table.tsv", b"source_id\tdim_0\tdim_1\na\tnan\t2.0\nb\t0.5\t1.0\n", PCA,
          "table.tsv: line 2: non-finite value"),
+        ("table.tsv", b"source_id\tdim_0\tdim_1\n", PCA, "table.tsv: the table has no data rows"),
     ],
     ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
          "group-source-without-id", "group-registry-list", "group-members-string",
          "model-text-file", "model-npy-array", "model-truncated-zip", "pca-non-numeric",
-         "pca-ragged-row", "pca-non-finite"],
+         "pca-ragged-row", "pca-non-finite", "pca-header-only"],
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):

@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +11,10 @@ from multisrc.nn import tensor as T
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 from multisrc.nn.layers import LSTM, AdditiveAttention, Affine, BiLSTM, Embedding, ParamSet
 from multisrc.nn.optim import Optimizer, TrainerConfig
-from multisrc.nn.tensor import Parameter, constant
+from multisrc.nn.tensor import Parameter
 
-from .gradcheck import add, dot, finite_difference_check, mul, random_param, vsum
+from . import decoder_reference as R
+from .gradcheck import add, constant, dot, finite_difference_check, mul, random_param, vsum
 
 
 def rng():
@@ -43,12 +48,14 @@ def test_non_scalar_backward_rejected():
         T.tanh(w).backward()
 
 
-# add, mul, dot and vsum are the tests' own loss builders (tests/gradcheck.py)
+# add, mul, dot and vsum are the tests' own loss builders (tests/gradcheck.py); matvec,
+# vecmat, matmat, transpose, softmax, add_rowvec and narrow are the step-by-step lemma
+# decoder's ops, kept with it in tests/decoder_reference.py
 @pytest.mark.parametrize(
     "op_name",
     ["add", "mul", "matvec", "affine", "vecmat", "matmat", "dot", "concat",
      "concat_matrix", "stack", "row", "tanh", "softmax", "add_rowvec",
-     "hinge", "cross_entropy", "total", "narrow", "vsum"],
+     "hinge", "cross_entropy", "total", "narrow", "vsum", "lemma_sequence"],
 )
 def test_finite_difference_per_op(op_name):
     r = np.random.default_rng(7)
@@ -59,33 +66,52 @@ def test_finite_difference_per_op(op_name):
     probe = constant(r.uniform(-1, 1, size=3))
     probe4 = constant(r.uniform(-1, 1, size=4))
     c = random_param(r, "c", (3,))
+    h0, chars, tag, prev, lstm, att, head = R.random_lemma_inputs(np.random.default_rng(8), 3, 4)
 
     builders = {
         "add": (lambda: dot(add(a, b), probe4), [a, b]),
         "mul": (lambda: dot(mul(a, b), probe4), [a, b]),
-        "matvec": (lambda: dot(T.matvec(m, a), probe), [m, a]),
+        "matvec": (lambda: dot(R.matvec(m, a), probe), [m, a]),
         "affine": (lambda: dot(T.affine(m, a, c), probe), [m, a, c]),
-        "vecmat": (lambda: dot(T.vecmat(a, m2), probe), [a, m2]),
-        "matmat": (lambda: vsum(T.matvec(T.matmat(m, m2), probe)), [m, m2]),
+        "vecmat": (lambda: dot(R.vecmat(a, m2), probe), [a, m2]),
+        "matmat": (lambda: vsum(R.matvec(R.matmat(m, m2), probe)), [m, m2]),
         "dot": (lambda: dot(a, b), [a, b]),
         "concat": (lambda: vsum(T.tanh(T.concat([a, b]))), [a, b]),
         "concat_matrix": (
-            lambda: vsum(T.matvec(T.concat([m, T.transpose(m2)]), T.concat([a, b]))), [m, m2, a, b]
+            lambda: vsum(R.matvec(T.concat([m, R.transpose(m2)]), T.concat([a, b]))), [m, m2, a, b]
         ),
-        "stack": (lambda: vsum(T.matvec(T.stack([a, b, T.tanh(a)]), probe4)), [a, b]),
+        "stack": (lambda: vsum(R.matvec(T.stack([a, b, T.tanh(a)]), probe4)), [a, b]),
         "row": (lambda: dot(add(T.row(m, 1), T.row(m, -1)), probe4), [m]),
         "tanh": (lambda: dot(T.tanh(a), probe4), [a]),
-        "softmax": (lambda: dot(T.softmax(a), probe4), [a]),
-        "add_rowvec": (lambda: dot(T.matvec(T.add_rowvec(m, b), a), probe), [m, b, a]),
+        "softmax": (lambda: dot(R.softmax(a), probe4), [a]),
+        "add_rowvec": (lambda: dot(R.matvec(R.add_rowvec(m, b), a), probe), [m, b, a]),
         "hinge": (lambda: T.hinge(T.tanh(a), [0, 2], [1, 3]), [a]),
-        "cross_entropy": (lambda: T.cross_entropy(T.matvec(m, a), 1), [m, a]),
-        "total": (lambda: T.total([dot(a, b), T.cross_entropy(T.matvec(m, a), 1), dot(c, probe)]),
+        "cross_entropy": (lambda: T.cross_entropy(R.matvec(m, a), 1), [m, a]),
+        "total": (lambda: T.total([dot(a, b), T.cross_entropy(R.matvec(m, a), 1), dot(c, probe)]),
                   [a, b, m, c]),
-        "narrow": (lambda: dot(T.narrow(a, 1, 2), constant([0.3, -0.7])), [a]),
+        "narrow": (lambda: dot(R.narrow(a, 1, 2), constant([0.3, -0.7])), [a]),
         "vsum": (lambda: vsum(T.tanh(a)), [a]),
+        "lemma_sequence": (
+            lambda: T.lemma_sequence(h0, chars, tag, prev, [1, 3, 3, 0], lstm, att, head),
+            [h0, chars, tag, prev, *lstm, *att, *head],
+        ),
     }
     build, params = builders[op_name]
     finite_difference_check(build, params)
+
+
+def test_every_public_tensor_function_has_a_caller_in_src():
+    # the core holds only ops that the program calls; an op whose last caller
+    # goes moves to the tests (tests/decoder_reference.py) or is deleted
+    package = Path(T.__file__).resolve().parent.parent
+    source = "\n".join(p.read_text(encoding="utf-8") for p in sorted(package.rglob("*.py"))
+                       if p.resolve() != Path(T.__file__).resolve())
+    public = [name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")]
+    assert "lemma_sequence" in public
+    uncalled = [name for name in public
+                if not re.search(rf"\bT\.{name}\b|import [^\n]*\b{name}\b", source)]
+    assert uncalled == []
 
 
 def test_hinge_ties_go_to_the_lowest_index_and_total_folds_left_to_right():
@@ -121,9 +147,9 @@ def test_lstm_cell_gradcheck():
     def build():
         h0 = constant(np.zeros(hidden))
         c0 = constant(np.zeros(hidden))
-        hc1 = T.lstm_cell(x, h0, c0, w, u, b)
-        h1, c1 = T.split_state(hc1, hidden)
-        hc2 = T.lstm_cell(x, h1, c1, w, u, b)
+        hc1 = R.lstm_cell(x, h0, c0, w, u, b)
+        h1, c1 = R.split_state(hc1, hidden)
+        hc2 = R.lstm_cell(x, h1, c1, w, u, b)
         return dot(hc2, probe)
 
     finite_difference_check(build, [w, u, b, x])
@@ -153,7 +179,7 @@ def _step_by_step(xs, w, u, b, reverse):
     states = [None] * xs.data.shape[0]
     order = range(len(states) - 1, -1, -1) if reverse else range(len(states))
     for t in order:
-        h, c = T.split_state(T.lstm_cell(T.row(xs, t), h, c, w, u, b), hidden)
+        h, c = R.split_state(R.lstm_cell(T.row(xs, t), h, c, w, u, b), hidden)
         states[t] = h
     return T.stack(states)
 
@@ -298,13 +324,14 @@ def test_attention_gradcheck():
     enc_data = [r.uniform(-1, 1, 2) for _ in range(3)]
     query = random_param(r, "q", (3,))
     probe = constant(r.uniform(-1, 1, 2))
+    params = (att.w_query, att.w_enc, att.v)
 
     def build():
         stacked = T.stack([constant(e) for e in enc_data])
-        ctx = att(query, stacked, att.precompute(stacked))
+        ctx = R.attend(params, query, stacked, R.attention_keys(params, stacked))
         return dot(ctx, probe)
 
-    finite_difference_check(build, [att.w_query, att.w_enc, att.v, query])
+    finite_difference_check(build, [*params, query])
 
 
 def test_operations_never_mutate_their_inputs():

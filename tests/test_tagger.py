@@ -6,6 +6,7 @@ from multisrc.encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabula
 from multisrc.errors import DataError
 from multisrc.nn import TrainerConfig
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
+from multisrc.nn.tensor import Parameter, Tensor
 from multisrc.tagger import (
     JointTagger,
     TaggerConfig,
@@ -18,6 +19,8 @@ from multisrc.tagger import (
     save_tagger,
     train_joint,
 )
+
+from . import decoder_reference as R
 
 SMALL = TaggerConfig(
     encoder=EncoderConfig(word_dim=10, char_dim=8, char_emb_dim=6, source_dim=0, hidden_dim=8),
@@ -148,6 +151,92 @@ def test_lemma_training_converges_beside_the_tag_loss():
         for g, p in zip(gs.tokens, ps.tokens)
     )
     assert lemma_hits == sum(len(s.tokens) for s in tb.sentences)
+
+
+@pytest.mark.parametrize("form, lemma", [("cat", "c"), ("ab", "abcabca"), ("moon", "mmooonn")],
+                         ids=["one-char", "longer-than-form", "repeated-chars"])
+def test_fused_lemma_loss_matches_the_step_composite(form, lemma):
+    # the fused op hoists the input projection and the output head, which
+    # changes the summation order: it agrees with the step loop to 1e-12
+    tb = Treebank(source_id="toy", sentences=[make_sentence([(form, lemma, ["Pos=N"])])])
+    model = build_model(tb, cfg=TaggerConfig())
+    r = np.random.default_rng(len(lemma))
+    for p in model.params.all():  # off the zero-initialized vectors, so every grad is exercised
+        p.data = p.data + r.uniform(-0.1, 0.1, p.data.shape)
+    encodings, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    results = []
+    for lemma_loss in (R.lemma_loss, JointTagger.lemma_loss):
+        for p in model.params.all():
+            p.zero_grad()
+        encoding = Parameter("token_encoding", encodings[0].data.copy())
+        per_char = Parameter("char_encodings", chars[0].data.copy())
+        loss = lemma_loss(model, encoding, per_char, lemma, "Pos=N")
+        loss.backward()
+        grads = {p.name: p.grad.copy() for p in [*model.params.all(), encoding, per_char]}
+        results.append((float(loss.data), grads))
+    (old_loss, old_grads), (new_loss, new_grads) = results
+    assert abs(new_loss - old_loss) <= 1e-12 * max(abs(old_loss), 1.0)
+    for name, old in old_grads.items():
+        assert np.abs(new_grads[name] - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0), name
+    assert np.abs(new_grads["char_encodings"]).max() > 0  # the attention's input grad is live
+
+
+def count_tensors(monkeypatch) -> list:
+    """Every Tensor created from now on, in order."""
+    created = []
+    original = Tensor.__init__
+
+    def counting(node, *args, **kwargs):
+        created.append(node)
+        original(node, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    return created
+
+
+def test_lemma_loss_builds_a_handful_of_nodes_per_lemma(monkeypatch):
+    tb = identity_corpus()
+    model = build_model(tb)
+    encodings, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    nodes = count_tensors(monkeypatch)
+    model.lemma_loss(encodings[0], chars[0], "cat", "Pos=N")
+    assert len(nodes) == 5  # dec_init, tanh, tag row, prev-char rows, lemma_sequence
+
+
+def test_greedy_decoding_builds_no_graph_and_matches_the_step_composite(monkeypatch):
+    tb = plural_corpus()
+    model = build_model(tb, seed=4)
+    train_joint(model, [tb], MODE_NONE, trainer(12))
+    cases = []
+    for sent in tb.sentences[:8]:
+        encodings, chars = model.encoder.encode_sentence(sent, MODE_NONE)
+        for tok, encoding, per_char in zip(sent.tokens, encodings, chars):
+            bundle = bundle_string(tok.morph)
+            cases.append((encoding, per_char, tok.form, bundle,
+                          R.decode_lemma(model, encoding, per_char, tok.form, bundle)))
+    nodes = count_tensors(monkeypatch)
+    decoded = [model.decode_lemma(*case[:4]) for case in cases]
+    assert nodes == []
+    assert decoded == [case[4] for case in cases]
+    assert len(set(decoded)) > 1  # a trained decoder, not one constant string
+
+
+def test_tagger_parameters_keep_their_names_and_shapes():
+    # checkpoints store parameters by name; a renamed or reshaped one would
+    # stop older tagger checkpoints from loading
+    model = build_model(plural_corpus())
+    assert [(p.name, p.data.shape) for p in model.params.all()] == [
+        ("word_emb", (21, 10)), ("char_emb", (17, 6)),
+        ("char_bilstm.fwd.w", (16, 6)), ("char_bilstm.fwd.u", (16, 4)), ("char_bilstm.fwd.b", (16,)),
+        ("char_bilstm.bwd.w", (16, 6)), ("char_bilstm.bwd.u", (16, 4)), ("char_bilstm.bwd.b", (16,)),
+        ("sent_bilstm.fwd.w", (32, 18)), ("sent_bilstm.fwd.u", (32, 8)), ("sent_bilstm.fwd.b", (32,)),
+        ("sent_bilstm.bwd.w", (32, 18)), ("sent_bilstm.bwd.u", (32, 8)), ("sent_bilstm.bwd.b", (32,)),
+        ("tag_head.w", (2, 16)), ("tag_head.b", (2,)), ("tag_emb", (2, 6)),
+        ("dec_char_emb", (17, 8)), ("dec_init.w", (16, 16)), ("dec_init.b", (16,)),
+        ("lemma_decoder.w", (64, 14)), ("lemma_decoder.u", (64, 16)), ("lemma_decoder.b", (64,)),
+        ("lemma_att.wq", (10, 16)), ("lemma_att.we", (10, 8)), ("lemma_att.v", (10,)),
+        ("lemma_out.w", (17, 24)), ("lemma_out.b", (17,)),
+    ]
 
 
 def test_decode_respects_hard_length_cap():
