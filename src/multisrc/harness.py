@@ -171,17 +171,8 @@ def eval_split(registry: Registry, source_id: str) -> Treebank:
     return registry.split(source_id, "test")
 
 
-def _parse_data(treebanks: list[Treebank]):
-    data = []
-    for tb in treebanks:
-        for sent in tb.sentences:
-            data.append((sent, DependencyTree.from_sentence(sent)))
-    return data
-
-
-def _build_parser(config: ExperimentConfig, treebanks, members, seed) -> DependencyParser:
+def _build_parser(config: ExperimentConfig, treebanks, labels, members, seed) -> DependencyParser:
     vocab = Vocabulary.build(treebanks)
-    labels = label_inventory(_parse_data(treebanks))
     encoder = replace(config.encoder)
     parser_config = ParserConfig(encoder=encoder, scorer_hidden=config.scorer_hidden)
     return DependencyParser(parser_config, vocab, labels, members=members, seed=seed)
@@ -208,8 +199,9 @@ def _build_tagger(config: ExperimentConfig, treebanks, members, seed) -> JointTa
 def _train_model(config: ExperimentConfig, treebanks, members, encoder_mode, seed):
     trainer = replace(config.trainer, seed=seed)
     if config.task == "parse":
-        model = _build_parser(config, treebanks, members, seed)
-        train_parser(model, _parse_data(treebanks), encoder_mode, trainer)
+        data = [(sent, DependencyTree.from_sentence(sent)) for tb in treebanks for sent in tb.sentences]
+        model = _build_parser(config, treebanks, label_inventory(data), members, seed)
+        train_parser(model, data, encoder_mode, trainer)
     else:
         model = _build_tagger(config, treebanks, members, seed)
         train_joint(model, treebanks, encoder_mode, trainer)
@@ -391,12 +383,13 @@ def emit_reports(out_dir: str | Path, rows: list[ResultRow], filter_reports: dic
     ordered = sorted(
         rows, key=lambda r: (r.group_id, r.source_id, r.setting, r.mode, r.metric, r.seed)
     )
-    write_rows_tsv(out_dir / "summary.tsv", ordered + seed_averages(ordered))
+    averages = seed_averages(ordered)
+    write_rows_tsv(out_dir / "summary.tsv", ordered + averages)
 
     # aggregate zero-shot rows separately from in-dataset rows: the held-out
     # sources' scores must never blend into the in-dataset averages
     per_source: dict[str, dict[str, EvalResult]] = {}
-    for row in seed_averages(ordered):
+    for row in averages:
         metric_result = EvalResult(row.metric, row.value, row.correct, row.total)
         key = f"{row.mode}:{row.setting}:{row.metric}"
         per_source.setdefault(row.source_id, {})[key] = metric_result
@@ -419,7 +412,7 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
     out_dir = Path(out_dir)
     all_rows: list[ResultRow] = []
     pca_tables: dict[str, tuple[list[str], object]] = {}
-    classifier_f1 = 0.0
+    classifier_f1 = None  # stays None when no cell fits a classifier: no svm buckets
 
     settings = ["zero_shot"] if config.mode == "zero_shot" else config.settings
     for seed in config.seeds:

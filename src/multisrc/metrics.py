@@ -103,16 +103,10 @@ def aggregate(per_source: dict[str, dict[str, EvalResult]], filter_reports: dict
     settings = sorted({s for results in per_source.values() for s in results})
     buckets: list[tuple[str, list[str]]] = [("all", sorted(per_source))]
     for attr, label_true, label_false in FILTER_BUCKETS:
-        members_true = sorted(
-            sid for sid in per_source if sid in filter_reports and getattr(filter_reports[sid], attr)
-        )
-        members_false = sorted(
-            sid
-            for sid in per_source
-            if sid in filter_reports and not getattr(filter_reports[sid], attr)
-        )
-        buckets.append((label_true, members_true))
-        buckets.append((label_false, members_false))
+        flags = {sid: getattr(filter_reports[sid], attr) for sid in per_source if sid in filter_reports}
+        # a flag of None (nothing measured it) puts the source in neither bucket
+        buckets.append((label_true, sorted(sid for sid, flag in flags.items() if flag is True)))
+        buckets.append((label_false, sorted(sid for sid, flag in flags.items() if flag is False)))
     for bucket_name, members in buckets:
         if not members:
             continue

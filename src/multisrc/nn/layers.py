@@ -33,10 +33,6 @@ class ParamSet:
     def vector(self, name: str, size: int) -> Parameter:
         return self._register(Parameter(name, np.zeros(size)))
 
-    def table(self, name: str, rows: int, cols: int) -> Parameter:
-        bound = np.sqrt(6.0 / (rows + cols))
-        return self._register(Parameter(name, self.rng.uniform(-bound, bound, size=(rows, cols))))
-
     def all(self) -> list[Parameter]:
         return list(self.params.values())
 
@@ -62,7 +58,7 @@ class Embedding:
     """Lookup table; gradient accumulates only on the touched rows."""
 
     def __init__(self, params: ParamSet, name: str, vocab_size: int, dim: int):
-        self.table = params.table(name, vocab_size, dim)
+        self.table = params.matrix(name, vocab_size, dim)
         self.vocab_size = vocab_size
         self.dim = dim
 

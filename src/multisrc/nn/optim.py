@@ -1,4 +1,4 @@
-"""Optimizers (SGD / Adam) with optional global-norm gradient clipping."""
+"""Adam, the one update rule every model trains with, and its trainer config."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from .tensor import Parameter
 
 @dataclass
 class TrainerConfig:
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    clip_norm: float | None = None
     seed: int = 0
     epochs: int = 30
     # per-epoch caps; parser counts sentences, tagger counts words
@@ -29,8 +27,6 @@ class TrainerConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise DataError("learning rate must be > 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DataError(f"unknown optimizer {self.optimizer!r}")
         if self.max_sentences_per_epoch <= 0 or self.max_words_per_epoch <= 0:
             raise DataError("epoch caps must be > 0")
 
@@ -43,33 +39,23 @@ class Optimizer:
     _moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def step(self):
-        """Clip, apply one update, zero gradients."""
+        """Apply one Adam update, then zero the gradients."""
         for p in self.params:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         cfg = self.config
-        if cfg.clip_norm is not None:
-            total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in self.params))
-            if total > cfg.clip_norm and total > 0:
-                factor = cfg.clip_norm / total
-                for p in self.params:
-                    p.grad *= factor
         self.step_count += 1
-        if cfg.optimizer == "sgd":
-            for p in self.params:
-                p.data -= cfg.learning_rate * p.grad
-        else:
-            t = self.step_count
-            for p in self.params:
-                if p.name not in self._moments:
-                    self._moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-                m, v = self._moments[p.name]
-                m *= cfg.beta1
-                m += (1 - cfg.beta1) * p.grad
-                v *= cfg.beta2
-                v += (1 - cfg.beta2) * p.grad * p.grad
-                m_hat = m / (1 - cfg.beta1**t)
-                v_hat = v / (1 - cfg.beta2**t)
-                p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        t = self.step_count
+        for p in self.params:
+            if p.name not in self._moments:
+                self._moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            m, v = self._moments[p.name]
+            m *= cfg.beta1
+            m += (1 - cfg.beta1) * p.grad
+            v *= cfg.beta2
+            v += (1 - cfg.beta2) * p.grad * p.grad
+            m_hat = m / (1 - cfg.beta1**t)
+            v_hat = v / (1 - cfg.beta2**t)
+            p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         for p in self.params:
             p.zero_grad()

@@ -13,7 +13,6 @@ trajectory telescopes: summed costs == attachment errors at the end.
 
 from __future__ import annotations
 
-from .errors import DataError
 from .trees import DependencyTree, projective_order
 from .transitions import (
     LEFT_ARC,
@@ -121,20 +120,3 @@ class DynamicOracle:
             if head in in_stack and head != state.stack[-1]:
                 self.remaining[head].discard(b0)
         # SWAP and free SHIFT commit nothing
-
-
-def oracle_costs(state: ParserState, gold: DependencyTree, use_swap: bool = True):
-    """One-shot cost query for a state reached by zero-cost transitions.
-
-    Training keeps a DynamicOracle and advances it along the followed
-    trajectory.  This wrapper reconstructs the bookkeeping from the arcs
-    built so far, which is exact on zero-cost (oracle-following) paths;
-    off-oracle trajectories must use DynamicOracle.advance.
-    """
-    if not isinstance(gold, DependencyTree):
-        raise DataError("gold must be a DependencyTree")
-    oracle = DynamicOracle(gold, use_swap=use_swap)
-    for dependent in state.arcs:
-        oracle.remaining[oracle.heads[dependent]].discard(dependent)
-        oracle.remaining[dependent] = set()
-    return oracle.costs(state)

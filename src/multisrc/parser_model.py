@@ -22,7 +22,7 @@ from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .oracle import DynamicOracle
 from .schema import from_dict, to_dict
-from .trees import DependencyTree, attach_tree
+from .trees import DependencyTree
 from .transitions import (
     ARC_KINDS,
     LEFT_ARC,
@@ -65,33 +65,20 @@ class DependencyParser:
         enc_dim = config.encoder.output_dim
         # row 0: artificial root encoding, row 1: empty-slot padding
         self.special = Embedding(self.params, "special_slots", 2, enc_dim)
-        n_scores = 2 + 2 * len(self.labels)
+        # score i rates transitions[i]: SHIFT, SWAP, then each label's LEFT_ARC,
+        # then each label's RIGHT_ARC; kind_indices lists each kind's scores
+        self.transitions = [Transition(SHIFT), Transition(SWAP)] + [
+            Transition(kind, label) for kind in (LEFT_ARC, RIGHT_ARC) for label in self.labels
+        ]
+        self.kind_indices: dict[str, list[int]] = {}
+        for index, transition in enumerate(self.transitions):
+            self.kind_indices.setdefault(transition.kind, []).append(index)
         self.hidden = Affine(self.params, "scorer_hidden", (STACK_SLOTS + 1) * enc_dim, config.scorer_hidden)
-        self.out = Affine(self.params, "scorer_out", config.scorer_hidden, n_scores)
-
-    # -- transition/score index mapping ------------------------------------
-
-    def index_of(self, kind: str, label: str | None = None) -> int:
-        if kind == SHIFT:
-            return 0
-        if kind == SWAP:
-            return 1
-        offset = 2 if kind == LEFT_ARC else 2 + len(self.labels)
-        return offset + self.labels.index(label)
-
-    def transition_at(self, index: int) -> Transition:
-        if index == 0:
-            return Transition(SHIFT)
-        if index == 1:
-            return Transition(SWAP)
-        index -= 2
-        if index < len(self.labels):
-            return Transition(LEFT_ARC, self.labels[index])
-        return Transition(RIGHT_ARC, self.labels[index - len(self.labels)])
+        self.out = Affine(self.params, "scorer_out", config.scorer_hidden, len(self.transitions))
 
     def legal_indices(self, state: ParserState) -> list[int]:
         kinds = [k for k in legal_transitions(state) if self.config.use_swap or k != SWAP]
-        return [i for kind in kinds for i in _kind_indices(self, kind)]
+        return [i for kind in kinds for i in self.kind_indices[kind]]
 
     # -- scoring ------------------------------------------------------------
 
@@ -121,14 +108,17 @@ class DependencyParser:
             scores = self.score_transitions(state, slots).data
             indices = self.legal_indices(state)
             best = max(indices, key=lambda i: (scores[i], -i))
-            state = apply_transition(state, self.transition_at(best))
+            state = apply_transition(state, self.transitions[best])
         return state.to_tree()
 
     def parse_treebank(self, treebank: Treebank, mode: str = MODE_NONE) -> Treebank:
         """Copy of the treebank with predicted heads and labels."""
-        out = [replace(sent, tokens=[replace(tok) for tok in sent.tokens]) for sent in treebank.sentences]
-        for original, copy in zip(treebank.sentences, out):
-            attach_tree(copy, self.parse_sentence(original, mode))
+        out = []
+        for sent in treebank.sentences:
+            tree = self.parse_sentence(sent, mode)
+            tokens = [replace(tok, head=tree.head_of(tok.id), deprel=tree.deprel_of(tok.id))
+                      for tok in sent.tokens]
+            out.append(replace(sent, tokens=tokens))
         return replace(treebank, sentences=out)
 
 
@@ -208,32 +198,24 @@ def _partition_indices(model, state, gold, costs):
     """
     zero_idx, costly_idx = [], []
     for kind, cost in costs.items():
-        labels, gold_label = [None], None
-        if kind in ARC_KINDS:
-            labels, gold_label = model.labels, gold.deprel_of(state.stack[-1])
-        for index, label in zip(_kind_indices(model, kind), labels):
-            (zero_idx if cost == 0 and label == gold_label else costly_idx).append(index)
+        gold_label = gold.deprel_of(state.stack[-1]) if kind in ARC_KINDS else None
+        for index in model.kind_indices[kind]:
+            zero = cost == 0 and model.transitions[index].label == gold_label
+            (zero_idx if zero else costly_idx).append(index)
     return zero_idx, costly_idx
 
 
 def _choose_transition(model, score_values, costs, allowed_kinds, zero_idx, explore, rng, trainer) -> Transition:
     if explore and rng.random() < trainer.explore_probability:
-        candidates = [i for kind in allowed_kinds for i in _kind_indices(model, kind)]
+        candidates = [i for kind in allowed_kinds for i in model.kind_indices[kind]]
     elif zero_idx:
         # oracle move: model-preferred among the zero-cost transitions
         candidates = zero_idx
     else:
         # every option is costly (possible off the oracle path): take the
         # cheapest kind, best-scored label
-        candidates = _kind_indices(model, min(allowed_kinds, key=lambda k: (costs[k], k)))
-    return model.transition_at(max(candidates, key=lambda i: (score_values[i], -i)))
-
-
-def _kind_indices(model, kind):
-    if kind in ARC_KINDS:
-        base = 2 if kind == LEFT_ARC else 2 + len(model.labels)
-        return range(base, base + len(model.labels))
-    return [model.index_of(kind)]
+        candidates = model.kind_indices[min(allowed_kinds, key=lambda k: (costs[k], k))]
+    return model.transitions[max(candidates, key=lambda i: (score_values[i], -i))]
 
 
 # -- persistence ---------------------------------------------------------------

@@ -67,12 +67,12 @@ class DatasetGroup:
 class FilterReport:
     source_id: str
     word_count: int
-    classifier_f1: float
+    classifier_f1: float | None
     max_overlap: float
     is_small: bool
     is_multilang_group: bool
     exists_same_lang: bool
-    svm_above_95: bool
+    svm_above_95: bool | None  # None when no classifier ran
     high_word_overlap: bool
 
 
@@ -211,7 +211,7 @@ def pair_by_overlap(registry: Registry, target: str) -> DatasetGroup:
 
 
 def compute_filters(
-    registry: Registry, group: DatasetGroup, classifier_f1: float
+    registry: Registry, group: DatasetGroup, classifier_f1: float | None
 ) -> dict[str, FilterReport]:
     """Per-source filter booleans over a group (strict thresholds)."""
     languages = {registry.source(m).language for m in group.members}
@@ -230,7 +230,7 @@ def compute_filters(
             is_small=src.train_word_count < SMALL_WORD_LIMIT,
             is_multilang_group=len(languages) > 1,
             exists_same_lang=any(registry.source(o).language == src.language for o in others),
-            svm_above_95=classifier_f1 > SVM_F1_THRESHOLD,
+            svm_above_95=None if classifier_f1 is None else classifier_f1 > SVM_F1_THRESHOLD,
             high_word_overlap=max_overlap > OVERLAP_THRESHOLD,
         )
     return reports

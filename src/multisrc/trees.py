@@ -1,4 +1,4 @@
-"""Dependency trees: validation, projectivity, projective order, generators."""
+"""Dependency trees: validation and the projective order."""
 
 from __future__ import annotations
 
@@ -66,21 +66,6 @@ class DependencyTree:
         )
 
 
-def is_projective(tree: DependencyTree) -> bool:
-    """A tree is projective iff every arc's span contains only descendants."""
-    n = len(tree)
-    for dep in range(1, n + 1):
-        head = tree.head_of(dep)
-        lo, hi = min(head, dep), max(head, dep)
-        for between in range(lo + 1, hi):
-            node = between
-            while node != ROOT and node != head:
-                node = tree.head_of(node)
-            if node != head:
-                return False
-    return True
-
-
 def projective_order(tree: DependencyTree) -> dict[int, int]:
     """Rank per token from an in-order traversal of the tree.
 
@@ -105,80 +90,3 @@ def projective_order(tree: DependencyTree) -> dict[int, int]:
 
     visit(ROOT)
     return ranks
-
-
-def attach_tree(sentence: Sentence, tree: DependencyTree):
-    """Write a predicted tree into a sentence's head/deprel fields."""
-    if len(tree) != len(sentence.tokens):
-        raise DataError("tree length does not match sentence")
-    for tok in sentence.tokens:
-        tok.head = tree.head_of(tok.id)
-        tok.deprel = tree.deprel_of(tok.id)
-
-
-# --- random generators (tests, acceptance, synthetic corpora) -------------
-
-
-def random_tree(n: int, rng, labels=("dep", "mod", "arg")) -> DependencyTree:
-    """Uniform random labeled tree via a Prüfer sequence, randomly rooted."""
-    if n < 1:
-        raise DataError("tree needs at least one token")
-    if n == 1:
-        return DependencyTree(heads=[0], deprels=[rng.choice(labels)])
-    if n == 2:
-        root = rng.choice([1, 2])
-        heads = [0, 1] if root == 1 else [2, 0]
-        return DependencyTree(heads=heads, deprels=[rng.choice(labels) for _ in range(2)])
-    prufer = [rng.randrange(1, n + 1) for _ in range(n - 2)]
-    degree = {v: 1 for v in range(1, n + 1)}
-    for v in prufer:
-        degree[v] += 1
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    import heapq
-
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in prufer:
-        leaf = heapq.heappop(leaves)
-        adjacency[leaf].append(v)
-        adjacency[v].append(leaf)
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    adjacency[u].append(w)
-    adjacency[w].append(u)
-    root = rng.randrange(1, n + 1)
-    heads = [0] * n
-    stack = [root]
-    seen = {root}
-    while stack:
-        node = stack.pop()
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                heads[neighbor - 1] = node
-                stack.append(neighbor)
-    return DependencyTree(heads=heads, deprels=[rng.choice(labels) for _ in range(n)])
-
-
-def random_projective_tree(n: int, rng, labels=("dep", "mod", "arg")) -> DependencyTree:
-    """Random projective tree by recursive span splitting (not uniform)."""
-    if n < 1:
-        raise DataError("tree needs at least one token")
-    heads = [0] * n
-
-    def build(lo: int, hi: int, head_parent: int):
-        # attach a head for span [lo, hi] to head_parent, recurse on the rest
-        head = rng.randrange(lo, hi + 1)
-        heads[head - 1] = head_parent
-        for side_lo, side_hi in ((lo, head - 1), (head + 1, hi)):
-            start = side_lo
-            while start <= side_hi:
-                end = rng.randrange(start, side_hi + 1)
-                build(start, end, head)
-                start = end + 1
-
-    build(1, n, ROOT)
-    return DependencyTree(heads=heads, deprels=[rng.choice(labels) for _ in range(n)])

@@ -38,18 +38,12 @@ from multisrc.transitions import (
     apply_transition,
     legal_transitions,
 )
-from multisrc.trees import (
-    DependencyTree,
-    is_projective,
-    projective_order,
-    random_projective_tree,
-    random_tree,
-)
+from multisrc.trees import DependencyTree, projective_order
 
 from . import bruteforce
 from . import decoder_reference as R
 from .gradcheck import add, constant, dot, finite_difference_check, mul, random_param, vsum
-from .helpers import treebank_from_sentences
+from .helpers import is_projective, random_projective_tree, random_tree, treebank_from_sentences
 from .test_metrics import naive_las, naive_lemma_acc, naive_morph_f1, random_pair
 
 
@@ -316,7 +310,7 @@ def accept_config(task, **kw):
         group_id="ambiguity",
         settings=["concat", "gold"],
         seeds=[0],
-        trainer=TrainerConfig(optimizer="adam", learning_rate=0.01, epochs=30, seed=0),
+        trainer=TrainerConfig(learning_rate=0.01, epochs=30, seed=0),
         encoder=ACCEPT_ENC,
         scorer_hidden=24,
         tagger=ACCEPT_TAGGER,
@@ -352,8 +346,7 @@ def test_criterion_06_dataset_embedding_separability():
     group = registry.groups["ambiguity"]
 
     tag_config = accept_config("tag_lemma",
-                               trainer=TrainerConfig(optimizer="adam", learning_rate=0.01,
-                                                     epochs=30, seed=0))
+                               trainer=TrainerConfig(learning_rate=0.01, epochs=30, seed=0))
     tag_outcomes = {
         setting: run_setting(registry, group, tag_config, setting, seed=0)
         for setting in ("concat", "gold")
@@ -372,8 +365,7 @@ def test_criterion_06_dataset_embedding_separability():
         tag_acc[setting] = 100.0 * correct / total
 
     parse_config = accept_config("parse",
-                                 trainer=TrainerConfig(optimizer="adam", learning_rate=0.01,
-                                                       epochs=30, seed=0))
+                                 trainer=TrainerConfig(learning_rate=0.01, epochs=30, seed=0))
     las_scores = {}
     for setting in ("concat", "gold"):
         outcome = run_setting(registry, group, parse_config, setting, seed=0)
@@ -447,7 +439,7 @@ def test_criterion_08_pred_equals_gold_bit_for_bit():
     group = registry.groups["g"]
     config = accept_config(
         "parse", group_id="g",
-        trainer=TrainerConfig(optimizer="adam", learning_rate=0.02, epochs=6, seed=0),
+        trainer=TrainerConfig(learning_rate=0.02, epochs=6, seed=0),
     )
     gold_outcome = run_setting(registry, group, config, "gold", seed=5)
     pred_outcome = run_setting(registry, group, config, "pred", seed=5)
@@ -484,7 +476,7 @@ def test_criterion_09_zero_shot_routing():
                                     members=["style_a", "style_b", "style_mix"]))
     config = accept_config(
         "tag_lemma", group_id="mix", mode="zero_shot", held_out_source="style_mix",
-        trainer=TrainerConfig(optimizer="adam", learning_rate=0.01, epochs=25, seed=0),
+        trainer=TrainerConfig(learning_rate=0.01, epochs=25, seed=0),
     )
     outcome = run_zero_shot(registry, registry.groups["mix"], config, seed=0)
 
@@ -541,7 +533,7 @@ def test_criterion_11_experiment_cell_determinism(tmp_path):
         registry = disjoint_registry_for_pred()
         config = accept_config(
             "parse", group_id="g",
-            trainer=TrainerConfig(optimizer="adam", learning_rate=0.02, epochs=3, seed=0),
+            trainer=TrainerConfig(learning_rate=0.02, epochs=3, seed=0),
         )
         outcome = run_setting(registry, registry.groups["g"], config, "pred", seed=7)
         path = tmp_path / f"results_{run_index}.tsv"

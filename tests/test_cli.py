@@ -182,7 +182,7 @@ def test_experiment_and_train_verbs(tmp_path, capsys):
         "group_id": "amb",
         "settings": ["concat"],
         "seeds": [0],
-        "trainer": {"optimizer": "adam", "learning_rate": 0.02, "epochs": 1, "seed": 0},
+        "trainer": {"learning_rate": 0.02, "epochs": 1, "seed": 0},
         "encoder": {"word_dim": 6, "char_dim": 4, "char_emb_dim": 4, "source_dim": 2,
                     "hidden_dim": 4},
         "scorer_hidden": 8,

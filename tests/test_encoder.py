@@ -141,7 +141,7 @@ def test_gradients_flow_only_into_used_source_row():
     loss.backward()
     assert np.abs(table.grad[0]).max() > 0
     assert np.all(table.grad[1] == 0)
-    Optimizer(params.all(), TrainerConfig(optimizer="sgd", learning_rate=0.1)).step()
+    Optimizer(params.all(), TrainerConfig(learning_rate=0.1)).step()
     assert not np.array_equal(table.data[0], before[0])
     assert np.array_equal(table.data[1], before[1])
 

@@ -25,7 +25,7 @@ from multisrc.tagger import TaggerConfig
 from .helpers import treebank_from_sentences
 
 TINY_ENC = EncoderConfig(word_dim=8, char_dim=6, char_emb_dim=4, source_dim=4, hidden_dim=6)
-TINY_TRAINER = TrainerConfig(optimizer="adam", learning_rate=0.02, epochs=4, seed=0)
+TINY_TRAINER = TrainerConfig(learning_rate=0.02, epochs=4, seed=0)
 TINY_NGRAM = NGramConfig(1, 1, 1, 2, 2**12)
 TINY_CLF = ClassifierHyper(epochs=6, seed=0)
 
@@ -249,6 +249,35 @@ def test_zero_shot_experiment_reports_jackknife_f1_in_filters(tmp_path):
     assert "svm<=95" not in buckets
 
 
+def test_gold_only_experiment_files_no_source_under_an_svm_bucket(tmp_path):
+    # no cell fits a classifier, so no source has a classifier F1 to bucket by
+    registry = disjoint_registry()
+    run_experiment(registry, tiny_config(settings=["gold"], trainer=replace(TINY_TRAINER, epochs=1)),
+                   tmp_path)
+    buckets = {line.split("\t")[0] for line in (tmp_path / "filters.tsv").read_text().splitlines()}
+    assert {"all", "small", "single-lang"} <= buckets
+    assert not {b for b in buckets if b.startswith("svm")}
+
+
+def test_parser_fit_builds_each_training_tree_once(monkeypatch):
+    from multisrc.trees import DependencyTree
+
+    built = []
+    original = DependencyTree.from_sentence.__func__
+
+    def counting(cls, sentence):
+        built.append(sentence)
+        return original(cls, sentence)
+
+    monkeypatch.setattr(DependencyTree, "from_sentence", classmethod(counting))
+    registry = disjoint_registry()
+    run_setting(registry, registry.groups["g"], tiny_config(trainer=replace(TINY_TRAINER, epochs=1)),
+                "concat", seed=0)
+    training = [s for m in ("src_a", "src_b") for s in registry.split(m, "train").sentences]
+    assert len(built) == len(training)
+    assert {id(s) for s in built} == {id(s) for s in training}
+
+
 def test_zero_shot_requires_three_members():
     registry = disjoint_registry()
     config = tiny_config(mode="zero_shot", held_out_source="src_a")
@@ -335,7 +364,7 @@ def test_run_experiment_layout_and_determinism(tmp_path):
         "group_id": "amb",
         "settings": ["concat", "gold"],
         "seeds": [0, 1],
-        "trainer": {"optimizer": "adam", "learning_rate": 0.02, "epochs": 2, "seed": 0},
+        "trainer": {"learning_rate": 0.02, "epochs": 2, "seed": 0},
         "encoder": {"word_dim": 8, "char_dim": 6, "char_emb_dim": 4, "source_dim": 4,
                     "hidden_dim": 6},
         "scorer_hidden": 12,
@@ -410,7 +439,7 @@ def test_experiment_config_validation():
         ({"classifier_hyper": {"epochs": "3"}}, "classifier_hyper.epochs"),
         ({"trainer": {"epochs": "3"}}, "trainer.epochs"),
         ({"trainer": {"epochs": True}}, "trainer.epochs"),
-        ({"trainer": {"clip_norm": "1"}}, "trainer.clip_norm"),
+        ({"trainer": {"explore_probability": "1"}}, "trainer.explore_probability"),
         ({"seeds": "012"}, "seeds"),
         ({"seeds": [0, "1"]}, "seeds[1]"),
         ({"scorer_hidden": 2.5}, "scorer_hidden"),

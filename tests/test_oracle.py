@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from multisrc.oracle import DynamicOracle, oracle_costs
+from multisrc.oracle import DynamicOracle
 from multisrc.transitions import (
     LEFT_ARC,
     RIGHT_ARC,
@@ -14,12 +14,7 @@ from multisrc.transitions import (
     apply_transition,
     legal_transitions,
 )
-from multisrc.trees import (
-    DependencyTree,
-    is_projective,
-    random_projective_tree,
-    random_tree,
-)
+from multisrc.trees import DependencyTree
 
 from .bruteforce import (
     best_future_loss,
@@ -27,6 +22,7 @@ from .bruteforce import (
     exhaustive_costs,
     policy_allowed,
 )
+from .helpers import is_projective, oracle_costs, random_projective_tree, random_tree
 
 
 def make_transition(kind, label="dep"):

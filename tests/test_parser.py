@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from multisrc.conllu import Treebank
 from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
 from multisrc.errors import DataError
 from multisrc.metrics import las
@@ -16,7 +17,7 @@ from multisrc.parser_model import (
     save_parser,
     train_parser,
 )
-from multisrc.trees import DependencyTree, attach_tree
+from multisrc.trees import DependencyTree
 from multisrc.transitions import LEFT_ARC, RIGHT_ARC, SHIFT, SWAP, ParserState
 
 from .helpers import sentence_from_words, treebank_from_sentences
@@ -54,7 +55,7 @@ def build_model(data, cfg=None, seed=5, use_swap=True):
 
 
 def trainer(epochs, seed=1):
-    return TrainerConfig(optimizer="adam", learning_rate=0.01, epochs=epochs, seed=seed)
+    return TrainerConfig(learning_rate=0.01, epochs=epochs, seed=seed)
 
 
 def test_score_vector_shape_and_determinism():
@@ -72,10 +73,15 @@ def test_score_vector_shape_and_determinism():
 
 def test_transition_index_roundtrip():
     model = build_model(toy_corpus())
-    n = 2 + 2 * len(model.labels)
-    for i in range(n):
-        t = model.transition_at(i)
-        assert model.index_of(t.kind, t.label) == i
+    n = len(model.labels)
+    assert model.kind_indices == {SHIFT: [0], SWAP: [1], LEFT_ARC: list(range(2, 2 + n)),
+                                  RIGHT_ARC: list(range(2 + n, 2 + 2 * n))}
+    for kind, indices in model.kind_indices.items():
+        for position, i in enumerate(indices):
+            assert model.transitions[i].kind == kind
+            label = model.labels[position] if kind in (LEFT_ARC, RIGHT_ARC) else None
+            assert model.transitions[i].label == label
+    assert len(model.transitions) == model.out.b.data.size
 
 
 def test_one_token_sentence_parses_to_root():
@@ -102,9 +108,7 @@ def test_overfit_toy_corpus_reaches_perfect_las():
     data = toy_corpus()
     model = build_model(data)
     history = train_parser(model, data, MODE_NONE, trainer(60))
-    gold_tb = treebank_from_sentences("toy", [[t.form for t in s.tokens] for s, _ in data])
-    for sent, (orig, tree) in zip(gold_tb.sentences, data):
-        attach_tree(sent, tree)
+    gold_tb = Treebank(source_id="toy", split="train", sentences=[sent for sent, _ in data])
     pred_tb = model.parse_treebank(gold_tb, MODE_NONE)
     assert las(gold_tb, pred_tb).value == 100.0
     assert history["epoch_loss"][-1] <= history["epoch_loss"][0]
@@ -141,8 +145,7 @@ def test_training_is_deterministic_across_runs():
 def test_epoch_sentence_cap_limits_updates():
     data = toy_corpus()
     model = build_model(data)
-    config = TrainerConfig(optimizer="adam", learning_rate=0.01, epochs=1, seed=0,
-                           max_sentences_per_epoch=2)
+    config = TrainerConfig(learning_rate=0.01, epochs=1, seed=0, max_sentences_per_epoch=2)
     history = train_parser(model, data, MODE_NONE, config)
     assert history["epoch_updates"][0] <= 2
 

@@ -14,9 +14,9 @@ from multisrc.tagger import TaggerConfig
 
 ENCODER = EncoderConfig(word_dim=7, char_dim=6, char_emb_dim=5, source_dim=0, hidden_dim=9)
 TRAINER = TrainerConfig(
-    optimizer="sgd", learning_rate=0.5, beta1=0.8, beta2=0.99, eps=1e-6, clip_norm=2.5,
-    seed=4, epochs=3, max_sentences_per_epoch=11, max_words_per_epoch=13,
-    explore_probability=0.0, explore_burnin_epochs=2,
+    learning_rate=0.5, beta1=0.8, beta2=0.99, eps=1e-6, seed=4, epochs=3,
+    max_sentences_per_epoch=11, max_words_per_epoch=13, explore_probability=0.0,
+    explore_burnin_epochs=2,
 )
 TAGGER = TaggerConfig(encoder=ENCODER, tag_embedding_dim=3, decoder_hidden=5,
                       decoder_char_dim=6, attention_hidden=7)

@@ -79,7 +79,7 @@ def build_model(treebank, seed=2, cfg=SMALL):
 
 
 def trainer(epochs, seed=0, lr=0.02):
-    return TrainerConfig(optimizer="adam", learning_rate=lr, epochs=epochs, seed=seed)
+    return TrainerConfig(learning_rate=lr, epochs=epochs, seed=seed)
 
 
 def test_bundle_canonicalization():
@@ -294,8 +294,7 @@ def test_char_bilstm_runs_once_per_token_in_training_and_annotation(monkeypatch)
 def test_word_cap_limits_epoch():
     tb = identity_corpus()
     model = build_model(tb)
-    config = TrainerConfig(optimizer="adam", learning_rate=0.02, epochs=1, seed=0,
-                           max_words_per_epoch=3)
+    config = TrainerConfig(learning_rate=0.02, epochs=1, seed=0, max_words_per_epoch=3)
     history = train_joint(model, [tb], MODE_NONE, config)
     assert history["tag_loss"][0] > 0  # trained on something, capped early
 

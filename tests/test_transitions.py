@@ -13,13 +13,9 @@ from multisrc.transitions import (
     apply_transition,
     legal_transitions,
 )
-from multisrc.trees import (
-    DependencyTree,
-    is_projective,
-    projective_order,
-    random_projective_tree,
-    random_tree,
-)
+from multisrc.trees import DependencyTree, projective_order
+
+from .helpers import is_projective, random_projective_tree, random_tree
 
 
 def test_initial_state_allows_only_shift():
