@@ -224,21 +224,18 @@ def macro_f1(gold: list[str], predicted: list[str]) -> float:
 def grid_search(
     train: list[tuple[str, str]],
     dev: list[tuple[str, str]],
-    candidates: list[NGramConfig] | None = None,
-    hyper: ClassifierHyper | None = None,
+    candidates: list[NGramConfig],
+    hyper: ClassifierHyper,
 ) -> tuple[NGramConfig, float]:
     """Pick the n-gram config maximizing dev macro F1.
 
     `train` and `dev` are (sentence_text, source_id) pairs.  Ties prefer
     the smaller word_max + char_max, then the smaller word_max.
     """
-    if candidates is None:
-        candidates = default_grid()
     if not candidates:
         raise DataError("empty candidate list")
     if not dev:
         raise DataError("empty dev data")
-    hyper = hyper or ClassifierHyper()
     best: tuple[float, int, int] | None = None
     best_cfg, best_f1 = None, -1.0
     for cfg in candidates:

@@ -49,10 +49,6 @@ class Sentence:
         return len(self.tokens)
 
     @property
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
-
-    @property
     def text(self) -> str:
         """Surface text approximation: forms joined by single spaces."""
         return " ".join(t.form for t in self.tokens)

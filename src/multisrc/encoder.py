@@ -197,14 +197,3 @@ class SentenceEncoder:
         inputs, chars = self.token_inputs(sentence, mode)
         states = self.sentence_bilstm.run(T.stack(inputs))
         return [T.row(states, i) for i in range(len(inputs))], chars
-
-    def export_table_tsv(self) -> str:
-        """TSV of the source-embedding table (header + one row per source)."""
-        if self.source_table is None:
-            raise DataError("model has no dataset embedding table")
-        members, matrix = self.source_table.rows()
-        header = "source_id\t" + "\t".join(f"dim_{i}" for i in range(matrix.shape[1]))
-        lines = [header]
-        for member, row in zip(members, matrix):
-            lines.append(member + "\t" + "\t".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"

@@ -84,6 +84,10 @@ class ExperimentConfig:
         for setting in self.settings:
             if setting not in SETTINGS:
                 raise DataError(f"unknown setting {setting!r}")
+        # a repeated cell would count its rows twice in the seed averages
+        for name, values in (("settings", self.settings), ("seeds", self.seeds)):
+            if not values or len(set(values)) != len(values):
+                raise DataError(f"{name} must be non-empty and distinct, got {values}")
         if self.mode == "zero_shot" and self.held_out_source is None:
             raise DataError("zero_shot requires held_out_source")
         if self.tagger is None:
@@ -91,10 +95,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        # the tagger shares the experiment's encoder
-        tagger = raw.get("tagger") if isinstance(raw, dict) else None
-        if isinstance(tagger, dict) and "encoder" in tagger:
-            raise DataError("experiment config: unknown key 'encoder' in tagger")
+        for section, key, reason in (
+            ("tagger", "encoder", "the tagger uses the experiment's encoder"),
+            ("trainer", "seed", "the trainer takes each cell's seed from seeds"),
+        ):
+            value = raw.get(section) if isinstance(raw, dict) else None
+            if isinstance(value, dict) and key in value:
+                raise DataError(f"experiment config: unknown key {key!r} in {section}: {reason}")
         config = from_dict(cls, raw, "experiment config", extra={"registry"})
         config.tagger = replace(config.tagger, encoder=config.encoder)
         return config

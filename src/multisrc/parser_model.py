@@ -2,21 +2,23 @@
 
 Scoring: a 2-layer feed-forward network over the contextual encodings of
 the top three stack items and the first buffer item (learned vectors for
-the artificial root and for empty slots).  Training follows the
-error-exploration regime: hinge between the best costly and best
-zero-cost transition under the static-dynamic oracle, following the
-model's own argmax with a small probability after a burn-in epoch.
+the artificial root and for empty slots), over arc-hybrid transitions
+with SWAP.  Training follows the error-exploration regime of Kiperwasser &
+Goldberg (2016): hinge between the best costly and best zero-cost
+transition under the static-dynamic oracle, following the model's own
+argmax with probability EXPLORE_PROBABILITY after EXPLORE_BURNIN_EPOCHS.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conllu import Sentence, Treebank
 from .encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta
-from .errors import DataError
+from .errors import DataError, NumericError
 from .nn import Affine, Embedding, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
@@ -36,13 +38,14 @@ from .transitions import (
 )
 
 STACK_SLOTS = 3  # top-3 stack items feed the scorer, plus the buffer front
+EXPLORE_PROBABILITY = 0.1
+EXPLORE_BURNIN_EPOCHS = 1
 
 
 @dataclass
 class ParserConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     scorer_hidden: int = 64
-    use_swap: bool = True
 
 
 class DependencyParser:
@@ -77,8 +80,7 @@ class DependencyParser:
         self.out = Affine(self.params, "scorer_out", config.scorer_hidden, len(self.transitions))
 
     def legal_indices(self, state: ParserState) -> list[int]:
-        kinds = [k for k in legal_transitions(state) if self.config.use_swap or k != SWAP]
-        return [i for kind in kinds for i in self.kind_indices[kind]]
+        return [i for kind in legal_transitions(state) for i in self.kind_indices[kind]]
 
     # -- scoring ------------------------------------------------------------
 
@@ -151,7 +153,7 @@ def train_parser(
         epoch_loss, updates = 0.0, 0
         for position in order:
             sentence, gold = data[position]
-            losses = _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch)
+            losses = _sentence_losses(model, sentence, gold, mode, rng, epoch)
             if not losses:
                 continue
             loss = T.total(losses)
@@ -164,25 +166,26 @@ def train_parser(
     return history
 
 
-def _sentence_losses(model, sentence, gold, mode, trainer, rng, epoch):
-    oracle = DynamicOracle(gold, use_swap=model.config.use_swap)
+def _sentence_losses(model, sentence, gold, mode, rng, epoch):
+    oracle = DynamicOracle(gold)
     encodings, _ = model.encoder.encode_sentence(sentence, mode)
     slots = model.scorer_slots(encodings)
     state = ParserState.initial(len(gold))
     losses = []
-    explore = epoch >= trainer.explore_burnin_epochs
+    explore = epoch >= EXPLORE_BURNIN_EPOCHS
     while not state.is_terminal():
         scores = model.score_transitions(state, slots)
         costs = oracle.costs(state)
-        if not model.config.use_swap:
-            costs.pop(SWAP, None)
         zero_idx, costly_idx = _partition_indices(model, state, gold, costs)
         if zero_idx and costly_idx:
             margin = T.hinge(scores, costly_idx, zero_idx)
-            if float(margin.data) > 0.0:
+            value = float(margin.data)
+            if not math.isfinite(value):
+                raise NumericError(f"non-finite parser margin {value}")
+            if value > 0.0:
                 losses.append(margin)
         transition = _choose_transition(
-            model, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng, trainer
+            model, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng
         )
         oracle.advance(state, transition.kind)
         state = apply_transition(state, transition)
@@ -205,8 +208,8 @@ def _partition_indices(model, state, gold, costs):
     return zero_idx, costly_idx
 
 
-def _choose_transition(model, score_values, costs, allowed_kinds, zero_idx, explore, rng, trainer) -> Transition:
-    if explore and rng.random() < trainer.explore_probability:
+def _choose_transition(model, score_values, costs, allowed_kinds, zero_idx, explore, rng) -> Transition:
+    if explore and rng.random() < EXPLORE_PROBABILITY:
         candidates = [i for kind in allowed_kinds for i in model.kind_indices[kind]]
     elif zero_idx:
         # oracle move: model-preferred among the zero-cost transitions

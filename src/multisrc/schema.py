@@ -47,7 +47,7 @@ def from_dict(cls, raw, where: str, extra=frozenset(), require_all=False, _path:
 
 
 # the Python types a JSON value may have for each field type
-_ACCEPTS = {int: int, float: (int, float), str: str, bool: bool, list: list}
+_ACCEPTS = {int: int, float: (int, float), str: str, list: list}
 
 
 def _decode(hint, value, where: str, require_all: bool, path: str):
@@ -63,7 +63,7 @@ def _decode(hint, value, where: str, require_all: bool, path: str):
     if kind not in _ACCEPTS:
         raise TypeError(f"{path}: the config codec cannot read type {hint}")
     # bool is a subclass of int, but true is not a number here
-    if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, _ACCEPTS[kind]) or isinstance(value, bool):
         raise DataError(f"{where}: {path} must be {kind.__name__}, got {value!r}")
     if kind is list:
         return [_decode(args[0], v, where, require_all, f"{path}[{i}]")

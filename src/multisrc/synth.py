@@ -183,13 +183,13 @@ def lookalike_of(sentence: Sentence) -> str:
 # -- on-disk layout -----------------------------------------------------------
 
 
-def write_corpus(corpus: dict, out_dir: str | Path, group_id: str, language: str = "syn") -> Path:
+def write_corpus(corpus: dict, out_dir: str | Path, group_id: str) -> Path:
     """Write per-split conllu files plus a registry config; returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sources = []
     for source_id in sorted(corpus):
-        entry = {"id": source_id, "language": language}
+        entry = {"id": source_id, "language": "syn"}
         for split, treebank in corpus[source_id].items():
             filename = f"{source_id}-{split}.conllu"
             (out_dir / filename).write_text(write_conllu(treebank), encoding="utf-8")

@@ -71,14 +71,14 @@ class ParserState:
     def signature(self) -> tuple:
         return (tuple(self.stack), tuple(self.buffer))
 
-    def to_tree(self, fallback_label: str = "dep") -> DependencyTree:
+    def to_tree(self) -> DependencyTree:
         heads, deprels = [], []
         for token in range(1, self.n + 1):
             if token not in self.arcs:
                 raise DataError(f"token {token} unattached; state not terminal")
             head, label = self.arcs[token]
             heads.append(head)
-            deprels.append(label if label else fallback_label)
+            deprels.append(label if label else "dep")
         return DependencyTree(heads=heads, deprels=deprels)
 
 

@@ -182,7 +182,7 @@ def test_experiment_and_train_verbs(tmp_path, capsys):
         "group_id": "amb",
         "settings": ["concat"],
         "seeds": [0],
-        "trainer": {"learning_rate": 0.02, "epochs": 1, "seed": 0},
+        "trainer": {"learning_rate": 0.02, "epochs": 1},
         "encoder": {"word_dim": 6, "char_dim": 4, "char_emb_dim": 4, "source_dim": 2,
                     "hidden_dim": 4},
         "scorer_hidden": 8,
@@ -251,6 +251,13 @@ NPY_BYTES, NPZ_BYTES = _npy_and_npz_bytes()
 CLASSIFY_PREDICT = ["classify", "predict", "--model", "{model}", "--in",
                     "{data}/dialect_a-dev.conllu", "--source-id", "dialect_a"]
 PCA = ["pca", "--table", "{table}"]
+EXPERIMENT = ["experiment", "--config", "{exp}"]
+
+
+def experiment_json(**fields):
+    # json.dumps writes a NaN float as the NaN literal, which json.loads accepts
+    return json.dumps({"registry": "data/registry.json", "task": "parse", "group_id": "amb",
+                       **fields}).encode()
 
 
 @pytest.mark.parametrize(
@@ -283,11 +290,29 @@ PCA = ["pca", "--table", "{table}"]
         ("table.tsv", b"source_id\tdim_0\tdim_1\na\tnan\t2.0\nb\t0.5\t1.0\n", PCA,
          "table.tsv: line 2: non-finite value"),
         ("table.tsv", b"source_id\tdim_0\tdim_1\n", PCA, "table.tsv: the table has no data rows"),
+        ("exp.json", experiment_json(trainer={"beta1": 0.8}), EXPERIMENT,
+         "experiment config: unknown key 'beta1' in trainer"),
+        ("exp.json", experiment_json(trainer={"explore_probability": 0.0}), EXPERIMENT,
+         "experiment config: unknown key 'explore_probability' in trainer"),
+        ("exp.json", experiment_json(trainer={"seed": 0}), EXPERIMENT,
+         "experiment config: unknown key 'seed' in trainer: "),
+        ("exp.json", experiment_json(trainer={"learning_rate": float("nan")}), EXPERIMENT,
+         "learning rate must be finite and > 0, got nan"),
+        ("exp.json", experiment_json(trainer={"epochs": -2}), EXPERIMENT,
+         "epochs must be >= 1, got -2"),
+        ("exp.json", experiment_json(seeds=[0, 0]), EXPERIMENT,
+         "seeds must be non-empty and distinct, got [0, 0]"),
+        ("exp.json", experiment_json(settings=["concat", "concat"]), EXPERIMENT,
+         "settings must be non-empty and distinct"),
+        ("exp.json", experiment_json(seeds=[]), EXPERIMENT,
+         "seeds must be non-empty and distinct, got []"),
     ],
     ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
          "group-source-without-id", "group-registry-list", "group-members-string",
          "model-text-file", "model-npy-array", "model-truncated-zip", "pca-non-numeric",
-         "pca-ragged-row", "pca-non-finite", "pca-header-only"],
+         "pca-ragged-row", "pca-non-finite", "pca-header-only", "exp-beta1", "exp-explore",
+         "exp-trainer-seed", "exp-nan-lr", "exp-epochs-neg", "exp-seeds-twice",
+         "exp-settings-twice", "exp-no-seeds"],
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):

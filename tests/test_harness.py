@@ -1,5 +1,7 @@
+import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,7 +366,7 @@ def test_run_experiment_layout_and_determinism(tmp_path):
         "group_id": "amb",
         "settings": ["concat", "gold"],
         "seeds": [0, 1],
-        "trainer": {"learning_rate": 0.02, "epochs": 2, "seed": 0},
+        "trainer": {"learning_rate": 0.02, "epochs": 2},
         "encoder": {"word_dim": 8, "char_dim": 6, "char_emb_dim": 4, "source_dim": 4,
                     "hidden_dim": 6},
         "scorer_hidden": 12,
@@ -372,8 +374,6 @@ def test_run_experiment_layout_and_determinism(tmp_path):
                   "feature_space_size": 4096},
         "classifier_hyper": {"epochs": 4, "seed": 0},
     }
-    import json
-
     config_path = tmp_path / "experiment.json"
     config_path.write_text(json.dumps(experiment))
     registry, config = load_experiment_file(config_path)
@@ -420,6 +420,8 @@ def test_experiment_config_from_dict_rejects_missing_and_misplaced_keys():
     with pytest.raises(DataError, match="'encoder' in tagger"):
         ExperimentConfig.from_dict({"task": "tag_lemma", "group_id": "g",
                                     "tagger": {"encoder": {}}})
+    with pytest.raises(DataError, match="'seed' in trainer: the trainer takes each cell's seed"):
+        ExperimentConfig.from_dict({"task": "parse", "group_id": "g", "trainer": {"seed": 3}})
     with pytest.raises(DataError, match="trainer must be a JSON object"):
         ExperimentConfig.from_dict({"task": "parse", "group_id": "g", "trainer": [1]})
 
@@ -431,6 +433,22 @@ def test_experiment_config_validation():
         ExperimentConfig(task="parse", group_id="g", settings=["bogus"])
     with pytest.raises(DataError, match="held_out_source"):
         ExperimentConfig(task="parse", group_id="g", mode="zero_shot")
+    # a repeated cell ran again and counted twice in summary.tsv's avg rows;
+    # an empty grid ran nothing and exited 0
+    for key, values in (("settings", ["concat", "concat"]), ("settings", []),
+                        ("seeds", [0, 0]), ("seeds", [])):
+        message = f"{key} must be non-empty and distinct, got {values}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(task="parse", group_id="g", **{key: values})
+
+
+def test_readme_experiment_config_example_is_a_valid_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert "registry" in example
+    config = ExperimentConfig.from_dict(example)
+    assert config.settings == ["base", "concat", "gold", "pred"]
 
 
 @pytest.mark.parametrize(
@@ -439,12 +457,13 @@ def test_experiment_config_validation():
         ({"classifier_hyper": {"epochs": "3"}}, "classifier_hyper.epochs"),
         ({"trainer": {"epochs": "3"}}, "trainer.epochs"),
         ({"trainer": {"epochs": True}}, "trainer.epochs"),
-        ({"trainer": {"explore_probability": "1"}}, "trainer.explore_probability"),
+        ({"trainer": {"learning_rate": "1"}}, "trainer.learning_rate"),
         ({"seeds": "012"}, "seeds"),
         ({"seeds": [0, "1"]}, "seeds[1]"),
         ({"scorer_hidden": 2.5}, "scorer_hidden"),
         ({"settings": "gold"}, "settings"),
         ({"encoder": {"word_dim": None}}, "encoder.word_dim"),
+        ({"trainer": {"learning_rate": True}}, "trainer.learning_rate"),
     ],
 )
 def test_experiment_config_from_dict_rejects_wrong_value_types(section, path):

@@ -5,7 +5,7 @@ import pytest
 
 from multisrc.conllu import Treebank
 from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
-from multisrc.errors import DataError
+from multisrc.errors import DataError, NumericError
 from multisrc.metrics import las
 from multisrc.nn import TrainerConfig
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -41,13 +41,13 @@ def toy_corpus():
     return data
 
 
-def build_model(data, cfg=None, seed=5, use_swap=True):
+def build_model(data, cfg=None, seed=5):
     vocab = Vocabulary.build(
         [treebank_from_sentences("toy", [[t.form for t in s.tokens] for s, _ in data])]
     )
     labels = label_inventory(data)
     return DependencyParser(
-        ParserConfig(encoder=cfg or SMALL, scorer_hidden=24, use_swap=use_swap),
+        ParserConfig(encoder=cfg or SMALL, scorer_hidden=24),
         vocab,
         labels,
         seed=seed,
@@ -122,13 +122,9 @@ def test_nonprojective_tree_needs_swap():
     gold = DependencyTree(heads=heads, deprels=rels)
     data = [(sent, gold)]
 
-    with_swap = build_model(data, seed=3)
-    train_parser(with_swap, data, MODE_NONE, trainer(80))
-    assert with_swap.parse_sentence(sent, MODE_NONE).heads == heads
-
-    without_swap = build_model(data, seed=3, use_swap=False)
-    train_parser(without_swap, data, MODE_NONE, trainer(80))
-    assert without_swap.parse_sentence(sent, MODE_NONE).heads != heads
+    model = build_model(data, seed=3)
+    train_parser(model, data, MODE_NONE, trainer(80))
+    assert model.parse_sentence(sent, MODE_NONE).heads == heads
 
 
 def test_training_is_deterministic_across_runs():
@@ -160,6 +156,16 @@ def test_train_errors():
         train_parser(model, bad, MODE_NONE, trainer(1))
 
 
+def test_non_finite_margin_stops_training():
+    # a NaN margin fails the `> 0` test that keeps a margin, so without the
+    # check no loss is built, no step runs and training ends "successfully"
+    data = toy_corpus()
+    model = build_model(data)
+    model.out.b.data[:] = np.nan
+    with pytest.raises(NumericError, match="^non-finite parser margin nan$"):
+        train_parser(model, data, MODE_NONE, trainer(1))
+
+
 def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
     data = toy_corpus()
     model = build_model(data)
@@ -178,7 +184,7 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
     "tamper, message",
     [
         (lambda m: m["config"].pop("scorer_hidden"), "config lacks required key 'scorer_hidden'"),
-        (lambda m: m["config"].pop("use_swap"), "config lacks required key 'use_swap'"),
+        (lambda m: m["config"].pop("encoder"), "config lacks required key 'encoder'"),
         (lambda m: m["config"]["encoder"].update(bogus=1), "unknown key 'bogus' in encoder"),
         (lambda m: m["config"]["encoder"].update(word_dim="12"), "encoder.word_dim must be int"),
         (lambda m: m.pop("config"), "config must be a JSON object"),
@@ -186,9 +192,10 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
         (lambda m: m["vocab"].pop("chars"), "header: vocab lacks required key 'chars'"),
         (lambda m: m.pop("labels"), "header lacks required key 'labels'"),
         (lambda m: m.update(seed="0"), "header: seed must be int, got '0'"),
+        (lambda m: m["config"].update(use_swap=True), "unknown key 'use_swap' in .* config$"),
     ],
     ids=["missing", "missing-defaulted", "extra", "wrong-type", "no-config",
-         "no-vocab", "no-vocab-chars", "no-labels", "string-seed"],
+         "no-vocab", "no-vocab-chars", "no-labels", "string-seed", "stale-use-swap"],
 )
 def test_parser_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
     path = tmp_path / "parser.npz"

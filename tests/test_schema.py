@@ -14,9 +14,7 @@ from multisrc.tagger import TaggerConfig
 
 ENCODER = EncoderConfig(word_dim=7, char_dim=6, char_emb_dim=5, source_dim=0, hidden_dim=9)
 TRAINER = TrainerConfig(
-    learning_rate=0.5, beta1=0.8, beta2=0.99, eps=1e-6, seed=4, epochs=3,
-    max_sentences_per_epoch=11, max_words_per_epoch=13, explore_probability=0.0,
-    explore_burnin_epochs=2,
+    learning_rate=0.5, seed=4, epochs=3, max_sentences_per_epoch=11, max_words_per_epoch=13,
 )
 TAGGER = TaggerConfig(encoder=ENCODER, tag_embedding_dim=3, decoder_hidden=5,
                       decoder_char_dim=6, attention_hidden=7)
@@ -27,7 +25,7 @@ HYPER = ClassifierHyper(regularization_c=0.5, epochs=3, learning_rate=0.25, seed
 CASES = [
     (TrainerConfig(), TRAINER),
     (EncoderConfig(), ENCODER),
-    (ParserConfig(), ParserConfig(encoder=ENCODER, scorer_hidden=5, use_swap=False)),
+    (ParserConfig(), ParserConfig(encoder=ENCODER, scorer_hidden=5)),
     (TaggerConfig(), TAGGER),
     (NGramConfig(), NGRAM),
     (ClassifierHyper(), HYPER),
@@ -57,9 +55,12 @@ def test_codec_refuses_a_field_type_it_cannot_read():
     @dataclasses.dataclass
     class Unreadable:
         table: dict = dataclasses.field(default_factory=dict)
+        flag: bool = False
 
     with pytest.raises(TypeError, match="table"):
         from_dict(Unreadable, {"table": {}}, "config")
+    with pytest.raises(TypeError, match="flag"):
+        from_dict(Unreadable, {"flag": True}, "config")
 
 
 def test_require_all_rejects_a_key_that_has_a_default():
@@ -78,7 +79,7 @@ def test_require_all_rejects_a_key_that_has_a_default():
         ({"encoder": 3}, "^config: encoder must be a JSON object$"),
         ({"encoder": {"bogus": 1}}, "^config: unknown key 'bogus' in encoder$"),
         ({"encoder": {"word_dim": 1.0}}, "^config: encoder.word_dim must be int, got 1.0$"),
-        ({"use_swap": 1}, "^config: use_swap must be bool, got 1$"),
+        ({"scorer_hidden": True}, "^config: scorer_hidden must be int, got True$"),
     ],
 )
 def test_codec_errors_name_the_path(raw, message):
