@@ -123,6 +123,8 @@ class ClassifierHyper:
             raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -252,7 +254,6 @@ def grid_search(
 class JackknifeResult:
     predictions: list[str]  # aligned with the pooled sentence order
     fold_of_sentence: list[int]
-    folds_trained_on: list[set[int]]  # per fold: which folds its model saw
     k: int
     model: LinearModel  # fit on every fold, for labelling unseen sentences
 
@@ -291,18 +292,15 @@ def jackknife_labels(
 
     labelled = [(featurize(text, cfg), source) for text, source in pooled]
     predictions: list[str | None] = [None] * len(pooled)
-    folds_trained_on = []
     for fold in range(k):
         train_data = [labelled[i] for i in range(len(pooled)) if fold_of_sentence[i] != fold]
         model = train_linear(train_data, cfg, hyper)
-        folds_trained_on.append({f for f in range(k) if f != fold})
         for i in range(len(pooled)):
             if fold_of_sentence[i] == fold:
                 predictions[i], _ = predict_source(model, labelled[i][0])
     return JackknifeResult(
         predictions=list(predictions),
         fold_of_sentence=fold_of_sentence,
-        folds_trained_on=folds_trained_on,
         k=k,
         model=train_linear(labelled, cfg, hyper),
     )

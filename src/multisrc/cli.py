@@ -28,10 +28,11 @@ from .classifier import (
 )
 from .conllu import parse_conllu, write_conllu
 from .errors import DataError, MultisrcError, UsageError
-from .harness import load_experiment_file, run_cell, run_experiment
+from .harness import SETTINGS, load_experiment_file, run_cell, run_experiment
 from .metrics import METRIC_FUNCTIONS
 from .pca import pca_project, pca_tsv
-from .registry import compute_filters, load_registry, pair_by_overlap
+from .registry import FilterReport, compute_filters, load_registry, pair_by_overlap
+from .schema import to_tsv
 from .synth import ambiguity_corpus, mixture_corpus, write_corpus
 
 
@@ -75,8 +76,7 @@ def build_parser() -> ArgumentParser:
 
     train = sub.add_parser("train", help="train one (task x setting x seed) cell")
     train.add_argument("--config", required=True, help="experiment JSON")
-    train.add_argument("--setting", required=True,
-                       choices=["base", "concat", "gold", "pred", "zero_shot"])
+    train.add_argument("--setting", required=True, choices=[*SETTINGS, "zero_shot"])
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
 
@@ -135,16 +135,9 @@ def cmd_group(args) -> int:
         print(f"group: paired {group.members[0]} with {group.members[1]}")
     if args.group_id:
         reports = compute_filters(registry, registry.group(args.group_id), args.classifier_f1)
-        lines = ["source_id\tword_count\tmax_overlap\tis_small\tis_multilang_group"
-                 "\texists_same_lang\tsvm_above_95\thigh_word_overlap"]
-        for source_id in sorted(reports):
-            r = reports[source_id]
-            lines.append(
-                f"{r.source_id}\t{r.word_count}\t{format(r.max_overlap, '.12g')}\t"
-                f"{int(r.is_small)}\t{int(r.is_multilang_group)}\t{int(r.exists_same_lang)}\t"
-                f"{int(r.svm_above_95)}\t{int(r.high_word_overlap)}"
-            )
-        (out_dir / "filters.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (out_dir / "filters.tsv").write_text(
+            to_tsv(FilterReport, [reports[sid] for sid in sorted(reports)]), encoding="utf-8"
+        )
         print(f"group: filters for {len(reports)} sources")
     if not args.pair and not args.group_id:
         raise UsageError("group: pass --pair and/or --group-id")

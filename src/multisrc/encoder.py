@@ -25,15 +25,24 @@ MODES = (MODE_NONE, MODE_GOLD, MODE_PRED)
 UNK = "<unk>"
 
 
+def require_positive(config, names: list[str]) -> None:
+    """One-line DataError unless every named dimension of `config` is >= 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise DataError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class EncoderConfig:
     word_dim: int = 64  # learned word embedding
     char_dim: int = 64  # char BiLSTM summary (split over two directions)
     char_emb_dim: int = 16
-    source_dim: int = 12  # e(d); 0 disables source conditioning entirely
+    source_dim: int = 12  # e(d)
     hidden_dim: int = 128  # sentence BiLSTM size per direction
 
     def __post_init__(self):
+        require_positive(self, ["word_dim", "char_dim", "char_emb_dim", "source_dim", "hidden_dim"])
         if self.char_dim % 2:
             raise DataError("char_dim must be even (two directions)")
 
@@ -114,7 +123,7 @@ class SentenceEncoder:
     """Figure-style input pipeline; owns all embedding and BiLSTM parameters.
 
     `members` is the dataset group served by this model; pass an empty
-    list (or source_dim 0) for models trained without source conditioning.
+    list for models trained without source conditioning.
     """
 
     def __init__(
@@ -131,7 +140,7 @@ class SentenceEncoder:
         self.char_emb = Embedding(params, "char_emb", len(vocab.chars), config.char_emb_dim)
         self.char_bilstm = BiLSTM(params, "char_bilstm", config.char_emb_dim, config.char_dim // 2)
         self.source_table = None
-        if self.members and config.source_dim > 0:
+        if self.members:
             self.source_table = DatasetEmbeddingTable(params, self.members, config.source_dim)
         input_dim = config.token_input_dim + (config.source_dim if self.source_table else 0)
         self.sentence_bilstm = BiLSTM(params, "sent_bilstm", input_dim, config.hidden_dim)
@@ -183,8 +192,6 @@ class SentenceEncoder:
         source = self._source_for(sentence, mode)
         if source not in self.members:
             raise DataError(f"source {source!r} is not a member of this model's group")
-        if self.source_table is None:  # source_dim 0: degenerates to mode none
-            return word_parts, chars
         source_vec = self.source_table.lookup(source)
         return [T.concat([w, source_vec]) for w in word_parts], chars
 

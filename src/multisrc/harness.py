@@ -9,8 +9,11 @@ Settings over a dataset group:
 
 Zero-shot holds one source out entirely: concat and pred models train on
 the rest, the classifier routes every held-out dev sentence to a proxy
-source, and the registry access log proves the held-out data was never
-read during training or classifier fitting.
+source, and the registry accesses made during the cell prove the held-out
+data was never read during training or classifier fitting.
+
+A cell is a plan of models (`cell_plan`) that one loop (`compute_cell`)
+fits, checks, predicts and scores; `config.mode` decides which cells run.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from .classifier import (
     save_model,
 )
 from .conllu import Sentence, Treebank, write_conllu
-from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig, Vocabulary
+from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig, Vocabulary, require_positive
 from .errors import DataError
-from .metrics import EvalResult, aggregate, las, lemma_accuracy, morph_f1
+from .metrics import AggregateRow, EvalResult, aggregate, las, lemma_accuracy, morph_f1
 from .nn import TrainerConfig
 from .parser_model import DependencyParser, ParserConfig, label_inventory, save_parser, train_parser
 from .pca import pca_project, pca_tsv
 from .registry import DatasetGroup, Registry, compute_filters
-from .schema import from_dict
+from .schema import from_dict, to_tsv
 from .tagger import (
     JointTagger,
     TaggerConfig,
@@ -81,6 +84,9 @@ class ExperimentConfig:
             raise DataError(f"unknown experiment mode {self.mode!r}")
         if self.seeds is None:
             self.seeds = [0, 1, 2] if self.task == "parse" else [0]
+        if any(seed < 0 for seed in self.seeds):
+            raise DataError(f"seeds must be >= 0, got {self.seeds}")
+        require_positive(self, ["scorer_hidden"])
         for setting in self.settings:
             if setting not in SETTINGS:
                 raise DataError(f"unknown setting {setting!r}")
@@ -118,24 +124,6 @@ class ResultRow:
     value: float
     correct: int
     total: int
-
-    def tsv(self) -> str:
-        return "\t".join(
-            [
-                self.group_id,
-                self.source_id,
-                self.setting,
-                self.mode,
-                str(self.seed),
-                self.metric,
-                format(self.value, ".12g"),
-                str(self.correct),
-                str(self.total),
-            ]
-        )
-
-
-TSV_HEADER = "group_id\tsource_id\tsetting\tmode\tseed\tmetric\tvalue\tcorrect\ttotal"
 
 
 @dataclass
@@ -203,14 +191,13 @@ def _build_tagger(config: ExperimentConfig, treebanks, members, seed) -> JointTa
     )
 
 
-def _train_model(config: ExperimentConfig, treebanks, members, encoder_mode, seed):
-    trainer = replace(config.trainer, seed=seed)
+def _train_model(config: ExperimentConfig, treebanks, members, encoder_mode, trainer):
     if config.task == "parse":
         data = [(sent, DependencyTree.from_sentence(sent)) for tb in treebanks for sent in tb.sentences]
-        model = _build_parser(config, treebanks, label_inventory(data), members, seed)
+        model = _build_parser(config, treebanks, label_inventory(data), members, trainer.seed)
         train_parser(model, data, encoder_mode, trainer)
     else:
-        model = _build_tagger(config, treebanks, members, seed)
+        model = _build_tagger(config, treebanks, members, trainer.seed)
         train_joint(model, treebanks, encoder_mode, trainer)
     return model
 
@@ -243,7 +230,8 @@ def _jackknife_f1(train_banks: list[Treebank], predictions: list[str]) -> float:
 # -- one fit path and one predict path for every cell ----------------------------
 
 
-def _fit(registry: Registry, config: ExperimentConfig, setting: str, members: list[str], seed: int):
+def _fit(registry: Registry, config: ExperimentConfig, setting: str, members: list[str],
+         trainer: TrainerConfig):
     """Train `setting`'s model on the train splits of `members`.
 
     Returns (model, classifier, jackknife_f1); the last two are None
@@ -259,7 +247,7 @@ def _fit(registry: Registry, config: ExperimentConfig, setting: str, members: li
         train_banks = _with_predicted_ids(train_banks, jackknife.predictions)
         classifier = jackknife.model
     sources = members if setting in ("gold", "pred") else []
-    model = _train_model(config, train_banks, sources, SETTING_ENCODER_MODE[setting], seed)
+    model = _train_model(config, train_banks, sources, SETTING_ENCODER_MODE[setting], trainer)
     return model, classifier, jackknife_f1
 
 
@@ -282,105 +270,85 @@ def _predict_split(registry: Registry, config: ExperimentConfig, model, setting:
     return gold_tb, model.annotate_treebank(eval_tb, mode), routed
 
 
-def _rows_for(config, group, member, setting, seed, results, mode=None):
-    return [
-        ResultRow(
-            group_id=group.group_id,
-            source_id=member,
-            setting=setting,
-            mode=mode or config.mode,
-            seed=str(seed),
-            metric=res.metric,
-            value=res.value,
-            correct=res.correct,
-            total=res.total,
-        )
-        for res in results
-    ]
+# -- one cell: a plan of models, fit, then predicted and scored -----------------
 
 
-# -- in-dataset settings -----------------------------------------------------
+@dataclass
+class PlannedModel:
+    """One model of a cell: the setting it trains as, the members whose train
+    splits it fits on, its checkpoint name, and the (evaluated source,
+    predictions name) pairs it predicts."""
+
+    setting: str
+    pool: list[str]
+    name: str
+    predicts: list[tuple[str, str]]
 
 
-def run_setting(
+def cell_plan(group: DatasetGroup, config: ExperimentConfig, setting: str) -> list[PlannedModel]:
+    """base fits one model per member; concat, gold and pred one model on all
+    members.  zero_shot fits concat and pred on the members left after holding
+    one out, and each predicts only the held-out source: base and gold need
+    in-source data."""
+    if (setting == "zero_shot") != (config.mode == "zero_shot"):
+        raise DataError(f"setting {setting!r} does not run in {config.mode} mode")
+    if setting == "zero_shot":
+        held_out = config.held_out_source
+        if len(group.members) < 3:
+            raise DataError("zero_shot needs dataset groups with more than 2 members")
+        if held_out not in group.members:
+            raise DataError(f"held-out source {held_out!r} not in group {group.group_id!r}")
+        remaining = [m for m in group.members if m != held_out]
+        return [PlannedModel(s, remaining, s, [(held_out, s)]) for s in ("concat", "pred")]
+    if setting not in SETTINGS:
+        raise DataError(f"unknown setting {setting!r}")
+    if setting == "base":
+        return [PlannedModel(setting, [m], m, [(m, m)]) for m in group.members]
+    return [PlannedModel(setting, group.members, "model", [(m, m) for m in group.members])]
+
+
+def compute_cell(
     registry: Registry,
     group: DatasetGroup,
     config: ExperimentConfig,
     setting: str,
     seed: int,
 ) -> CellOutcome:
-    """Train and evaluate one setting for one seed over a dataset group:
-    base fits one model per member, the pooled settings one on all."""
-    if setting not in SETTINGS:
-        raise DataError(f"unknown setting {setting!r}")
+    """Fit every model of the cell's plan, prove that no zero-shot fit read
+    the held-out source, then predict and score."""
+    plan = cell_plan(group, config, setting)
+    trainer = replace(config.trainer, seed=seed)  # refuses a negative seed before any fit
+    log_start = len(registry.access_log)
+    fits = [_fit(registry, config, entry.setting, entry.pool, trainer) for entry in plan]
+    if config.mode == "zero_shot":
+        leaked = registry.accessed(config.held_out_source, phases={"training", "classifier"},
+                                   since=log_start)
+        if leaked:
+            raise DataError(f"zero-shot isolation violated: {leaked}")
+
     outcome = CellOutcome([], {}, {})
-    pools = [[m] for m in group.members] if setting == "base" else [group.members]
-    for pool in pools:
-        model, classifier, outcome.classifier_f1 = _fit(registry, config, setting, pool, seed)
-        outcome.models[pool[0] if setting == "base" else "model"] = model
+    for entry, (model, classifier, jackknife_f1) in zip(plan, fits):
+        outcome.models[entry.name] = model
         if classifier is not None:
             outcome.models["classifier"] = classifier
-        for member in pool:
-            gold_tb, predicted, routed = _predict_split(registry, config, model, setting, classifier, member)
-            outcome.predictions[member] = predicted
+            outcome.classifier_f1 = jackknife_f1
+        for source, name in entry.predicts:
+            gold_tb, predicted, routed = _predict_split(registry, config, model, entry.setting,
+                                                        classifier, source)
             if routed is not None:
-                outcome.routing[member] = routed
+                if any(route not in entry.pool for route in routed):
+                    raise DataError("classifier routed a sentence outside the training pool")
+                outcome.routing[source] = routed
+            outcome.predictions[name] = predicted
             outcome.rows.extend(
-                _rows_for(config, group, member, setting, seed, _evaluate(config.task, gold_tb, predicted))
+                ResultRow(group.group_id, source, entry.setting, config.mode, str(seed),
+                          res.metric, res.value, res.correct, res.total)
+                for res in _evaluate(config.task, gold_tb, predicted)
             )
     return outcome
 
 
-# -- zero-shot ------------------------------------------------------------------
-
-
-def run_zero_shot(
-    registry: Registry,
-    group: DatasetGroup,
-    config: ExperimentConfig,
-    seed: int,
-) -> CellOutcome:
-    """Hold one source out; route its dev sentences to proxy sources.
-
-    Only concat and pred apply: base and gold need in-source data.  Both
-    are the pooled settings fit on the remaining members.
-    """
-    held_out = config.held_out_source
-    if len(group.members) < 3:
-        raise DataError("zero_shot needs dataset groups with more than 2 members")
-    if held_out not in group.members:
-        raise DataError(f"held-out source {held_out!r} not in group {group.group_id!r}")
-    remaining = [m for m in group.members if m != held_out]
-
-    fits = {setting: _fit(registry, config, setting, remaining, seed) for setting in ("concat", "pred")}
-    leaked = registry.accessed(held_out, phases={"training", "classifier"})
-    if leaked:
-        raise DataError(f"zero-shot isolation violated: {leaked}")
-
-    outcome = CellOutcome([], {}, {})
-    for setting, (model, classifier, jackknife_f1) in fits.items():
-        gold_tb, predicted, routed = _predict_split(registry, config, model, setting, classifier, held_out)
-        if classifier is not None:
-            if any(route not in remaining for route in routed):
-                raise DataError("classifier routed a sentence outside the remaining members")
-            outcome.models["classifier"] = classifier
-            outcome.routing[held_out] = routed
-            outcome.classifier_f1 = jackknife_f1
-        outcome.models[setting] = model
-        outcome.predictions[setting] = predicted
-        outcome.rows.extend(
-            _rows_for(config, group, held_out, setting, seed,
-                      _evaluate(config.task, gold_tb, predicted), mode="zero_shot")
-        )
-    return outcome
-
-
 # -- reports --------------------------------------------------------------------
-
-
-def write_rows_tsv(path: Path, rows: list[ResultRow]):
-    text = TSV_HEADER + "\n" + "".join(row.tsv() + "\n" for row in rows)
-    path.write_text(text, encoding="utf-8")
 
 
 def emit_reports(out_dir: str | Path, rows: list[ResultRow], filter_reports: dict) -> None:
@@ -391,23 +359,11 @@ def emit_reports(out_dir: str | Path, rows: list[ResultRow], filter_reports: dic
         rows, key=lambda r: (r.group_id, r.source_id, r.setting, r.mode, r.metric, r.seed)
     )
     averages = seed_averages(ordered)
-    write_rows_tsv(out_dir / "summary.tsv", ordered + averages)
-
-    # aggregate zero-shot rows separately from in-dataset rows: the held-out
-    # sources' scores must never blend into the in-dataset averages
-    per_source: dict[str, dict[str, EvalResult]] = {}
-    for row in averages:
-        metric_result = EvalResult(row.metric, row.value, row.correct, row.total)
-        key = f"{row.mode}:{row.setting}:{row.metric}"
-        per_source.setdefault(row.source_id, {})[key] = metric_result
-    lines = ["bucket\tmode\tsetting\tmetric\tvalue\tn_sources"]
-    for agg in aggregate(per_source, filter_reports):
-        mode, setting, metric = agg.setting.split(":", 2)
-        lines.append(
-            f"{agg.bucket}\t{mode}\t{setting}\t{metric}\t"
-            f"{format(agg.value, '.12g')}\t{agg.n_sources}"
-        )
-    (out_dir / "filters.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "summary.tsv").write_text(to_tsv(ResultRow, ordered + averages), encoding="utf-8")
+    # aggregate keeps zero-shot means apart from in-dataset ones
+    (out_dir / "filters.tsv").write_text(
+        to_tsv(AggregateRow, aggregate(averages, filter_reports)), encoding="utf-8"
+    )
 
 
 # -- full experiment ------------------------------------------------------------
@@ -457,15 +413,12 @@ def run_cell(
     seed: int,
     out_dir: str | Path,
 ) -> tuple[CellOutcome, Path]:
-    """Run one (setting, seed) cell, or the zero-shot cell for setting
+    """Compute one (setting, seed) cell, or the zero-shot cell for setting
     "zero_shot", and write it to out_dir/runs/<group>/<setting>/<seed>."""
-    if setting == "zero_shot":
-        outcome = run_zero_shot(registry, group, config, seed)
-    else:
-        outcome = run_setting(registry, group, config, setting, seed)
+    outcome = compute_cell(registry, group, config, setting, seed)
     cell_dir = Path(out_dir) / "runs" / group.group_id / setting / str(seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    write_rows_tsv(cell_dir / "results.tsv", outcome.rows)
+    (cell_dir / "results.tsv").write_text(to_tsv(ResultRow, outcome.rows), encoding="utf-8")
     for name, predicted in sorted(outcome.predictions.items()):
         (cell_dir / f"predictions_{name}.conllu").write_text(
             write_conllu(predicted, embed_source_in_misc=True), encoding="utf-8"

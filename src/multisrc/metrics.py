@@ -77,6 +77,7 @@ METRIC_FUNCTIONS = {"las": las, "morph_f1": morph_f1, "lemma_acc": lemma_accurac
 @dataclass
 class AggregateRow:
     bucket: str
+    mode: str
     setting: str
     metric: str
     value: float
@@ -93,39 +94,28 @@ FILTER_BUCKETS = [
 ]
 
 
-def aggregate(per_source: dict[str, dict[str, EvalResult]], filter_reports: dict) -> list[AggregateRow]:
-    """Unweighted means per (filter bucket, setting).
+def aggregate(rows, filter_reports: dict) -> list[AggregateRow]:
+    """Unweighted means per (filter bucket, mode, setting, metric).
 
-    `per_source` maps source_id -> setting -> EvalResult.  Buckets with no
-    members are omitted.
+    `rows` hold one score per source and (mode, setting, metric), in
+    `source_id`, `mode`, `setting`, `metric` and `value`.  Modes never
+    blend: zero-shot and in-dataset scores are averaged apart.  Buckets
+    with no members are omitted.
     """
-    rows: list[AggregateRow] = []
-    settings = sorted({s for results in per_source.values() for s in results})
+    per_source: dict[str, dict[tuple[str, str, str], float]] = {}
+    for row in rows:
+        per_source.setdefault(row.source_id, {})[(row.mode, row.setting, row.metric)] = row.value
+    keys = sorted({key for scores in per_source.values() for key in scores})
     buckets: list[tuple[str, list[str]]] = [("all", sorted(per_source))]
     for attr, label_true, label_false in FILTER_BUCKETS:
         flags = {sid: getattr(filter_reports[sid], attr) for sid in per_source if sid in filter_reports}
         # a flag of None (nothing measured it) puts the source in neither bucket
         buckets.append((label_true, sorted(sid for sid, flag in flags.items() if flag is True)))
         buckets.append((label_false, sorted(sid for sid, flag in flags.items() if flag is False)))
+    aggregated = []
     for bucket_name, members in buckets:
-        if not members:
-            continue
-        for setting in settings:
-            values = [
-                per_source[sid][setting].value for sid in members if setting in per_source[sid]
-            ]
-            if not values:
-                continue
-            metric = next(
-                per_source[sid][setting].metric for sid in members if setting in per_source[sid]
-            )
-            rows.append(
-                AggregateRow(
-                    bucket=bucket_name,
-                    setting=setting,
-                    metric=metric,
-                    value=sum(values) / len(values),
-                    n_sources=len(values),
-                )
-            )
-    return rows
+        for key in keys:
+            values = [per_source[sid][key] for sid in members if key in per_source[sid]]
+            if values:
+                aggregated.append(AggregateRow(bucket_name, *key, sum(values) / len(values), len(values)))
+    return aggregated

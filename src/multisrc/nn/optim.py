@@ -30,6 +30,8 @@ class TrainerConfig:
             raise DataError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.max_sentences_per_epoch <= 0 or self.max_words_per_epoch <= 0:
             raise DataError("epoch caps must be > 0")
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .conllu import Sentence, Treebank
-from .encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta
+from .encoder import (
+    MODE_NONE,
+    EncoderConfig,
+    SentenceEncoder,
+    Vocabulary,
+    VocabularyMeta,
+    require_positive,
+)
 from .errors import DataError, NumericError
 from .nn import Affine, Embedding, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
@@ -46,6 +53,9 @@ EXPLORE_BURNIN_EPOCHS = 1
 class ParserConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     scorer_hidden: int = 64
+
+    def __post_init__(self):
+        require_positive(self, ["scorer_hidden"])
 
 
 class DependencyParser:

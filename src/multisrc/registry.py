@@ -67,7 +67,6 @@ class DatasetGroup:
 class FilterReport:
     source_id: str
     word_count: int
-    classifier_f1: float | None
     max_overlap: float
     is_small: bool
     is_multilang_group: bool
@@ -128,10 +127,12 @@ class Registry:
     def has_split(self, source_id: str, split: str) -> bool:
         return getattr(self.source(source_id), split) is not None
 
-    def accessed(self, source_id: str, phases: set[str] | None = None) -> list[tuple[str, str, str]]:
+    def accessed(self, source_id: str, phases: set[str] | None = None,
+                 since: int = 0) -> list[tuple[str, str, str]]:
+        """Accesses to `source_id` from entry `since` of the log on."""
         return [
             rec
-            for rec in self.access_log
+            for rec in self.access_log[since:]
             if rec[1] == source_id and (phases is None or rec[0] in phases)
         ]
 
@@ -225,7 +226,6 @@ def compute_filters(
         reports[member] = FilterReport(
             source_id=member,
             word_count=src.train_word_count,
-            classifier_f1=classifier_f1,
             max_overlap=max_overlap,
             is_small=src.train_word_count < SMALL_WORD_LIMIT,
             is_multilang_group=len(languages) > 1,

@@ -1,9 +1,11 @@
-"""One codec for every config dataclass: the experiment JSON and checkpoint headers.
+"""One codec for every config dataclass (the experiment JSON and checkpoint
+headers) and one writer for every row table.
 
 `from_dict` rejects a non-object section, an unknown or missing key and a
 value of the wrong type with a one-line DataError.  Checkpoint headers are
 read with `require_all`: `to_dict` wrote every field, and a default filled
-in for a lost one would rebuild a different model.
+in for a lost one would rebuild a different model.  `to_tsv` writes a list
+of row dataclasses under a header of their field names.
 """
 
 from __future__ import annotations
@@ -69,3 +71,20 @@ def _decode(hint, value, where: str, require_all: bool, path: str):
         return [_decode(args[0], v, where, require_all, f"{path}[{i}]")
                 for i, v in enumerate(value)]
     return value
+
+
+def to_tsv(cls, rows) -> str:
+    """A header of `cls`'s field names, then one line per row: floats as
+    `.12g`, booleans as 0/1, anything else through `str`."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    lines = ["\t".join(names)]
+    lines += ["\t".join(_cell(getattr(row, name)) for name in names) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .conllu import Sentence, Treebank
-from .encoder import EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta
+from .encoder import EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta, require_positive
 from .errors import DataError
 from .nn import AdditiveAttention, Affine, Embedding, LSTM, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
@@ -44,6 +44,10 @@ class TaggerConfig:
     decoder_hidden: int = 48
     decoder_char_dim: int = 16
     attention_hidden: int = 24
+
+    def __post_init__(self):
+        require_positive(self, ["tag_embedding_dim", "decoder_hidden", "decoder_char_dim",
+                                "attention_hidden"])
 
 
 class JointTagger:

@@ -10,10 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from multisrc.classifier import ClassifierHyper, NGramConfig, jackknife_labels, macro_f1
+from multisrc.classifier import (
+    ClassifierHyper,
+    NGramConfig,
+    featurize,
+    jackknife_labels,
+    macro_f1,
+    predict_source,
+    train_linear,
+)
 from multisrc.conllu import Sentence, Token, Treebank, parse_conllu, write_conllu
 from multisrc.encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary
-from multisrc.harness import ExperimentConfig, run_setting, run_zero_shot, write_rows_tsv
+from multisrc.harness import ExperimentConfig, ResultRow, compute_cell
 from multisrc.metrics import las, lemma_accuracy, morph_f1
 from multisrc.nn import Affine, Embedding, ParamSet, TrainerConfig
 from multisrc.nn import tensor as T
@@ -21,6 +29,7 @@ from multisrc.oracle import DynamicOracle
 from multisrc.parser_model import DependencyParser, ParserConfig
 from multisrc.pca import pca_project
 from multisrc.registry import DataSource, DatasetGroup, Registry
+from multisrc.schema import to_tsv
 from multisrc.synth import (
     ambiguity_corpus,
     is_conflict_token,
@@ -239,7 +248,7 @@ def test_criterion_04_gradient_checks_every_layer():
     tb = treebank_from_sentences("s", [["aa", "bb"]])
     vocab = Vocabulary.build([tb])
     cfg = ParserConfig(
-        encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=3, source_dim=0, hidden_dim=3),
+        encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=3, source_dim=2, hidden_dim=3),
         scorer_hidden=5,
     )
     parser = DependencyParser(cfg, vocab, labels=["dep", "root"], seed=9)
@@ -348,7 +357,7 @@ def test_criterion_06_dataset_embedding_separability():
     tag_config = accept_config("tag_lemma",
                                trainer=TrainerConfig(learning_rate=0.01, epochs=30, seed=0))
     tag_outcomes = {
-        setting: run_setting(registry, group, tag_config, setting, seed=0)
+        setting: compute_cell(registry, group, tag_config, setting, seed=0)
         for setting in ("concat", "gold")
     }
     tag_acc = {}
@@ -368,7 +377,7 @@ def test_criterion_06_dataset_embedding_separability():
                                  trainer=TrainerConfig(learning_rate=0.01, epochs=30, seed=0))
     las_scores = {}
     for setting in ("concat", "gold"):
-        outcome = run_setting(registry, group, parse_config, setting, seed=0)
+        outcome = compute_cell(registry, group, parse_config, setting, seed=0)
         values = []
         for member in group.members:
             gold_tb = registry.source(member).dev
@@ -403,10 +412,14 @@ def test_criterion_07_classifier_jackknife():
     result = jackknife_labels(banks, ACCEPT_NGRAM, ACCEPT_CLF)
     gold = ["src_a"] * 200 + ["src_b"] * 200
     f1 = macro_f1(gold, result.predictions)
-    own_fold_leak = any(
-        result.fold_of_sentence[i] in result.folds_trained_on[result.fold_of_sentence[i]]
-        for i in range(len(gold))
-    )
+    # each label must be the prediction of a model trained on the other folds' vectors
+    labelled = [(featurize(s.text, ACCEPT_NGRAM), tb.source_id) for tb in banks for s in tb.sentences]
+    own_fold_leak = False
+    for fold in range(result.k):
+        model = train_linear([ex for ex, f in zip(labelled, result.fold_of_sentence) if f != fold],
+                             ACCEPT_NGRAM, ACCEPT_CLF)
+        own_fold_leak |= any(result.predictions[i] != predict_source(model, labelled[i][0])[0]
+                             for i, f in enumerate(result.fold_of_sentence) if f == fold)
     elapsed = time.time() - started
     report(
         7,
@@ -441,8 +454,8 @@ def test_criterion_08_pred_equals_gold_bit_for_bit():
         "parse", group_id="g",
         trainer=TrainerConfig(learning_rate=0.02, epochs=6, seed=0),
     )
-    gold_outcome = run_setting(registry, group, config, "gold", seed=5)
-    pred_outcome = run_setting(registry, group, config, "pred", seed=5)
+    gold_outcome = compute_cell(registry, group, config, "gold", seed=5)
+    pred_outcome = compute_cell(registry, group, config, "pred", seed=5)
 
     # the degenerate premise: every jack-knifed and routed id equals gold
     assert pred_outcome.classifier_f1 == 1.0
@@ -478,7 +491,7 @@ def test_criterion_09_zero_shot_routing():
         "tag_lemma", group_id="mix", mode="zero_shot", held_out_source="style_mix",
         trainer=TrainerConfig(learning_rate=0.01, epochs=25, seed=0),
     )
-    outcome = run_zero_shot(registry, registry.groups["mix"], config, seed=0)
+    outcome = compute_cell(registry, registry.groups["mix"], config, "zero_shot", seed=0)
 
     dev = registry.source("style_mix").dev
     routed = outcome.routing["style_mix"]
@@ -527,7 +540,7 @@ def test_criterion_10_pca_matches_eigen_oracle():
            f"coord err {worst_coord:.2e}, ortho err {worst_ortho:.2e}")
 
 
-def test_criterion_11_experiment_cell_determinism(tmp_path):
+def test_criterion_11_experiment_cell_determinism():
     outputs = []
     for run_index in (0, 1):
         registry = disjoint_registry_for_pred()
@@ -535,10 +548,8 @@ def test_criterion_11_experiment_cell_determinism(tmp_path):
             "parse", group_id="g",
             trainer=TrainerConfig(learning_rate=0.02, epochs=3, seed=0),
         )
-        outcome = run_setting(registry, registry.groups["g"], config, "pred", seed=7)
-        path = tmp_path / f"results_{run_index}.tsv"
-        write_rows_tsv(path, outcome.rows)
-        outputs.append(path.read_bytes())
+        outcome = compute_cell(registry, registry.groups["g"], config, "pred", seed=7)
+        outputs.append(to_tsv(ResultRow, outcome.rows).encode("utf-8"))
     report(11, "re-running an experiment cell yields byte-identical results.tsv",
            outputs[0] == outputs[1])
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,10 +229,24 @@ def test_jackknife_disjoint_vocabulary_recovers_gold():
 
 
 def test_jackknife_no_sentence_labeled_by_own_fold():
-    banks = disjoint_treebanks(10)
-    result = jackknife_labels(banks, NGramConfig(1, 1, 1, 2, SMALL_SPACE), FAST)
-    for i, fold in enumerate(result.fold_of_sentence):
-        assert fold not in result.folds_trained_on[fold]
+    # shared random vocabulary: a model that saw a sentence labels it
+    # differently from one that did not, so an own-fold leak would show
+    rng = random.Random(4)
+    words = [f"w{i}" for i in range(12)]
+    banks = [treebank_from_sentences(source, [[rng.choice(words) for _ in range(3)]
+                                              for _ in range(10)])
+             for source in ("src_a", "src_b")]
+    ngram = NGramConfig(1, 1, 1, 2, SMALL_SPACE)
+    result = jackknife_labels(banks, ngram, FAST)
+    labelled = [(featurize(s.text, ngram), tb.source_id) for tb in banks for s in tb.sentences]
+    for fold in range(result.k):
+        model = train_linear([ex for ex, f in zip(labelled, result.fold_of_sentence) if f != fold],
+                             ngram, FAST)
+        for i, f in enumerate(result.fold_of_sentence):
+            if f == fold:
+                assert result.predictions[i] == predict_source(model, labelled[i][0])[0]
+    seen = [predict_source(result.model, vector)[0] for vector, _ in labelled]
+    assert seen != result.predictions
     # 5 folds over 2x10: each fold holds 2 sentences per source pair count
     counts = [result.fold_of_sentence.count(f) for f in range(result.k)]
     assert counts == [4, 4, 4, 4, 4]

@@ -8,7 +8,7 @@ from multisrc.classifier import ClassifierHyper, NGramConfig, featurize, save_mo
 from multisrc.cli import main
 from multisrc.conllu import parse_conllu
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
-from multisrc.synth import ambiguity_corpus, write_corpus
+from multisrc.synth import ambiguity_corpus, mixture_corpus, write_corpus
 
 TWO_TOKEN = (
     "1\tcats\tcat\tNOUN\t_\tNumber=Plur\t2\tnsubj\t_\t_\n"
@@ -306,13 +306,30 @@ def experiment_json(**fields):
          "settings must be non-empty and distinct"),
         ("exp.json", experiment_json(seeds=[]), EXPERIMENT,
          "seeds must be non-empty and distinct, got []"),
+        ("exp.json", experiment_json(encoder={"hidden_dim": 0}), EXPERIMENT,
+         "hidden_dim must be >= 1, got 0"),
+        ("exp.json", experiment_json(encoder={"word_dim": -3}), EXPERIMENT,
+         "word_dim must be >= 1, got -3"),
+        ("exp.json", experiment_json(encoder={"source_dim": 0}), EXPERIMENT,
+         "source_dim must be >= 1, got 0"),
+        ("exp.json", experiment_json(encoder={"char_dim": 5}), EXPERIMENT,
+         "char_dim must be even"),
+        ("exp.json", experiment_json(scorer_hidden=0), EXPERIMENT,
+         "scorer_hidden must be >= 1, got 0"),
+        ("exp.json", experiment_json(tagger={"attention_hidden": 0}), EXPERIMENT,
+         "attention_hidden must be >= 1, got 0"),
+        ("exp.json", experiment_json(seeds=[-1]), EXPERIMENT, "seeds must be >= 0, got [-1]"),
+        ("exp.json", experiment_json(classifier_hyper={"seed": -2}), EXPERIMENT,
+         "seed must be >= 0, got -2"),
     ],
     ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
          "group-source-without-id", "group-registry-list", "group-members-string",
          "model-text-file", "model-npy-array", "model-truncated-zip", "pca-non-numeric",
          "pca-ragged-row", "pca-non-finite", "pca-header-only", "exp-beta1", "exp-explore",
          "exp-trainer-seed", "exp-nan-lr", "exp-epochs-neg", "exp-seeds-twice",
-         "exp-settings-twice", "exp-no-seeds"],
+         "exp-settings-twice", "exp-no-seeds", "exp-hidden-dim-0", "exp-word-dim-neg",
+         "exp-source-dim-0", "exp-char-dim-odd", "exp-scorer-hidden-0", "exp-attention-0",
+         "exp-seed-neg", "exp-classifier-seed-neg"],
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):
@@ -332,6 +349,46 @@ def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file,
     assert code == 2
     assert err.startswith("error: DataError: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["train", "--config", "{exp}", "--setting", "concat"],
+                                  ["classify", "train", "--config", "{registry}", "--group-id", "amb"]],
+                         ids=["train", "classify-train"])
+def test_negative_seed_flag_is_one_line_data_error(tmp_path, capsys, argv):
+    registry = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                             n_conflict_dev=1, n_shared_dev=1),
+                            tmp_path / "data", group_id="amb")
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json())
+    argv = [arg.format(exp=exp, registry=registry) for arg in argv]
+    code, _, err = run([*argv, "--seed", "-1", "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: DataError: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("fields, setting", [
+    ({"mode": "zero_shot", "held_out_source": "style_mix"}, "base"),
+    ({"held_out_source": "style_mix"}, "zero_shot"),
+], ids=["base-in-zero-shot", "zero-shot-in-in-dataset"])
+def test_train_setting_must_match_the_experiment_mode(tmp_path, capsys, fields, setting):
+    # a cell's rows are labelled with the experiment's mode, so a cell of the
+    # other kind would be mislabelled
+    write_corpus(mixture_corpus(seed=4, n_train=6, n_dev=3, n_held_dev=4), tmp_path / "data",
+                 group_id="mix")
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({
+        "registry": "data/registry.json", "task": "parse", "group_id": "mix",
+        "trainer": {"learning_rate": 0.02, "epochs": 1},
+        "encoder": {"word_dim": 4, "char_dim": 4, "char_emb_dim": 4, "source_dim": 2,
+                    "hidden_dim": 4},
+        "scorer_hidden": 4, **fields,
+    }))
+    code, _, err = run(["train", "--config", str(exp), "--setting", setting,
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    mode = fields.get("mode", "in_dataset")
+    assert err == f"error: DataError: setting {setting!r} does not run in {mode} mode\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_classify_predict_on_a_malformed_checkpoint_is_data_error(tmp_path, capsys):

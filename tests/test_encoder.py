@@ -120,17 +120,6 @@ def test_mode_errors():
         none_encoder.token_inputs(sentence_from_words(["cats"], source_id="src_a"), MODE_GOLD)
 
 
-def test_source_dim_zero_degenerates_to_mode_none_bitwise():
-    cfg0 = EncoderConfig(word_dim=8, char_dim=6, char_emb_dim=4, source_dim=0, hidden_dim=5)
-    enc_with, _, _ = build(members=("src_a", "src_b"), cfg=cfg0, seed=7)
-    enc_none, _, _ = build(members=(), cfg=cfg0, seed=7)
-    sent = sentence_from_words(["cats", "sleep"], source_id="src_a")
-    out_gold, _ = enc_with.encode_sentence(sent, MODE_GOLD)
-    out_none, _ = enc_none.encode_sentence(sent, MODE_NONE)
-    for a, b in zip(out_gold, out_none):
-        assert np.array_equal(a.data, b.data)
-
-
 def test_gradients_flow_only_into_used_source_row():
     encoder, params, _ = build()
     sent = sentence_from_words(["cats", "sleep"], source_id="src_a")

@@ -13,9 +13,8 @@ from multisrc.errors import DataError
 from multisrc.harness import (
     ExperimentConfig,
     ResultRow,
+    compute_cell,
     run_experiment,
-    run_setting,
-    run_zero_shot,
     seed_averages,
     load_experiment_file,
 )
@@ -70,7 +69,7 @@ def test_run_setting_produces_rows_for_each_member_and_setting():
     config = tiny_config()
     group = registry.groups["g"]
     for setting in ("base", "concat", "gold", "pred"):
-        outcome = run_setting(registry, group, config, setting, seed=0)
+        outcome = compute_cell(registry, group, config, setting, seed=0)
         assert {r.source_id for r in outcome.rows} == {"src_a", "src_b"}
         assert all(r.setting == setting for r in outcome.rows)
         assert all(r.metric == "las" for r in outcome.rows)
@@ -82,7 +81,7 @@ def test_run_setting_produces_rows_for_each_member_and_setting():
 def test_pred_computes_jackknife_f1_and_routes_dev():
     registry = disjoint_registry()
     config = tiny_config()
-    outcome = run_setting(registry, registry.groups["g"], config, "pred", seed=0)
+    outcome = compute_cell(registry, registry.groups["g"], config, "pred", seed=0)
     assert outcome.classifier_f1 == 1.0  # disjoint vocab: perfect jackknife
     assert set(outcome.routing) == {"src_a", "src_b"}
     assert all(r == "src_a" for r in outcome.routing["src_a"])
@@ -93,8 +92,8 @@ def test_pred_equals_gold_bitwise_when_classifier_is_perfect():
     registry = disjoint_registry()
     config = tiny_config()
     group = registry.groups["g"]
-    gold_outcome = run_setting(registry, group, config, "gold", seed=3)
-    pred_outcome = run_setting(registry, group, config, "pred", seed=3)
+    gold_outcome = compute_cell(registry, group, config, "gold", seed=3)
+    pred_outcome = compute_cell(registry, group, config, "pred", seed=3)
     gold_by_key = {(r.source_id, r.metric): r for r in gold_outcome.rows}
     for row in pred_outcome.rows:
         twin = gold_by_key[(row.source_id, row.metric)]
@@ -111,7 +110,7 @@ def test_pred_equals_gold_bitwise_when_classifier_is_perfect():
         assert np.array_equal(param.data, pred_model.params.params[name].data)
 
 
-def test_single_member_group_base_concat_gold_identical_with_zero_source_dim():
+def test_single_member_group_base_and_concat_are_identical():
     registry = Registry()
     words = [["solo0", "solov0"], ["solo1", "solov1"], ["solo2", "solov2"]]
     registry.add_source(
@@ -123,22 +122,16 @@ def test_single_member_group_base_concat_gold_identical_with_zero_source_dim():
         )
     )
     registry.add_group(DatasetGroup(group_id="g", members=["solo"]))
-    enc0 = EncoderConfig(word_dim=8, char_dim=6, char_emb_dim=4, source_dim=0, hidden_dim=6)
-    config = tiny_config(encoder=enc0, settings=["base", "concat", "gold"])
+    config = tiny_config(settings=["base", "concat"])
     group = registry.groups["g"]
-    values = {}
-    models = {}
-    for setting in ("base", "concat", "gold"):
-        outcome = run_setting(registry, group, config, setting, seed=1)
-        values[setting] = [r.value for r in outcome.rows]
-        models[setting] = outcome.models
-    assert values["base"] == values["concat"] == values["gold"]
-    base_params = models["base"]["solo"].params.params
-    for other in ("concat", "gold"):
-        other_params = models[other]["model"].params.params
-        assert set(base_params) == set(other_params)
-        for name in base_params:
-            assert np.array_equal(base_params[name].data, other_params[name].data)
+    base = compute_cell(registry, group, config, "base", seed=1)
+    concat = compute_cell(registry, group, config, "concat", seed=1)
+    assert [r.value for r in base.rows] == [r.value for r in concat.rows]
+    base_params = base.models["solo"].params.params
+    concat_params = concat.models["model"].params.params
+    assert set(base_params) == set(concat_params)
+    for name in base_params:
+        assert np.array_equal(base_params[name].data, concat_params[name].data)
 
 
 def mixture_registry():
@@ -160,7 +153,7 @@ def test_zero_shot_isolation_routing_and_rows():
     config = tiny_config(
         task="tag_lemma", group_id="mix", mode="zero_shot", held_out_source="style_mix"
     )
-    outcome = run_zero_shot(registry, registry.groups["mix"], config, seed=0)
+    outcome = compute_cell(registry, registry.groups["mix"], config, "zero_shot", seed=0)
     assert registry.accessed("style_mix", phases={"training", "classifier"}) == []
     assert registry.accessed("style_a", phases={"training"})
     routed = outcome.routing["style_mix"]
@@ -180,11 +173,11 @@ def test_zero_shot_fits_the_pooled_settings_on_the_remaining_members(task):
     one_epoch = replace(TINY_TRAINER, epochs=1)
     zero_shot = tiny_config(task=task, group_id="mix", trainer=one_epoch, mode="zero_shot",
                             held_out_source="style_mix")
-    outcome = run_zero_shot(registry, registry.groups["mix"], zero_shot, seed=1)
+    outcome = compute_cell(registry, registry.groups["mix"], zero_shot, "zero_shot", seed=1)
     remaining = DatasetGroup(group_id="rest", members=["style_a", "style_b"])
     config = tiny_config(task=task, group_id="rest", trainer=one_epoch)
     for setting in ("concat", "pred"):
-        pooled = run_setting(registry, remaining, config, setting, seed=1)
+        pooled = compute_cell(registry, remaining, config, setting, seed=1)
         expected, actual = pooled.models["model"].params.params, outcome.models[setting].params.params
         assert expected.keys() == actual.keys()
         for name, param in expected.items():
@@ -194,6 +187,51 @@ def test_zero_shot_fits_the_pooled_settings_on_the_remaining_members(task):
     assert np.array_equal(classifier.weights, pooled.models["classifier"].weights)
     assert np.array_equal(classifier.biases, pooled.models["classifier"].biases)
     assert outcome.classifier_f1 == pooled.classifier_f1
+
+
+def test_zero_shot_isolation_reads_only_its_own_cell(tmp_path):
+    # the in-dataset cell reads style_mix's train split; a later zero-shot
+    # cell on the same registry must not count those reads as its own
+    registry = mixture_registry()
+    one_epoch = replace(TINY_TRAINER, epochs=1)
+    run_experiment(registry, tiny_config(group_id="mix", settings=["concat"], trainer=one_epoch),
+                   tmp_path / "in")
+    assert registry.accessed("style_mix", phases={"training"})
+    zero_shot = tiny_config(group_id="mix", trainer=one_epoch, mode="zero_shot",
+                            held_out_source="style_mix")
+    rows = run_experiment(registry, zero_shot, tmp_path / "zero")
+    assert {(r.setting, r.source_id, r.mode) for r in rows} == {
+        ("concat", "style_mix", "zero_shot"), ("pred", "style_mix", "zero_shot")}
+
+
+def test_zero_shot_cell_that_reads_the_held_out_source_is_refused(monkeypatch):
+    from multisrc import harness
+
+    fit = harness._fit
+
+    def leaky_fit(registry, config, setting, members, trainer):
+        with registry.phase("training"):
+            registry.split("style_mix", "train")
+        return fit(registry, config, setting, members, trainer)
+
+    monkeypatch.setattr(harness, "_fit", leaky_fit)
+    registry = mixture_registry()
+    config = tiny_config(group_id="mix", trainer=replace(TINY_TRAINER, epochs=1), mode="zero_shot",
+                         held_out_source="style_mix")
+    with pytest.raises(DataError, match=r"^zero-shot isolation violated: \[\('training', 'style_mix'"):
+        compute_cell(registry, registry.groups["mix"], config, "zero_shot", seed=0)
+
+
+def test_a_cell_must_match_the_experiment_mode():
+    registry = mixture_registry()
+    group = registry.groups["mix"]
+    zero_shot = tiny_config(group_id="mix", mode="zero_shot", held_out_source="style_mix")
+    with pytest.raises(DataError, match="^setting 'base' does not run in zero_shot mode$"):
+        compute_cell(registry, group, zero_shot, "base", seed=0)
+    in_dataset = tiny_config(group_id="mix", held_out_source="style_mix")
+    with pytest.raises(DataError, match="^setting 'zero_shot' does not run in in_dataset mode$"):
+        compute_cell(registry, group, in_dataset, "zero_shot", seed=0)
+    assert registry.access_log == []
 
 
 def registry_snapshot(registry):
@@ -220,11 +258,10 @@ def test_cells_leave_the_registry_untouched(task):
         for sent in tb.sentences
         for obj in (sent, *sent.tokens)
     }
-    # zero-shot first: the in-dataset cells read the held-out source's train split
     zero_shot = tiny_config(task=task, group_id="mix", trainer=one_epoch, mode="zero_shot",
                             held_out_source="style_mix")
-    outcomes = [run_zero_shot(registry, group, zero_shot, seed=0)]
-    outcomes += [run_setting(registry, group, config, setting, seed=0)
+    outcomes = [compute_cell(registry, group, zero_shot, "zero_shot", seed=0)]
+    outcomes += [compute_cell(registry, group, config, setting, seed=0)
                  for setting in ("base", "concat", "gold", "pred")]
     assert registry_snapshot(registry) == before
     for outcome in outcomes:
@@ -273,8 +310,8 @@ def test_parser_fit_builds_each_training_tree_once(monkeypatch):
 
     monkeypatch.setattr(DependencyTree, "from_sentence", classmethod(counting))
     registry = disjoint_registry()
-    run_setting(registry, registry.groups["g"], tiny_config(trainer=replace(TINY_TRAINER, epochs=1)),
-                "concat", seed=0)
+    compute_cell(registry, registry.groups["g"], tiny_config(trainer=replace(TINY_TRAINER, epochs=1)),
+                 "concat", seed=0)
     training = [s for m in ("src_a", "src_b") for s in registry.split(m, "train").sentences]
     assert len(built) == len(training)
     assert {id(s) for s in built} == {id(s) for s in training}
@@ -284,7 +321,7 @@ def test_zero_shot_requires_three_members():
     registry = disjoint_registry()
     config = tiny_config(mode="zero_shot", held_out_source="src_a")
     with pytest.raises(DataError, match="more than 2 members"):
-        run_zero_shot(registry, registry.groups["g"], config, seed=0)
+        compute_cell(registry, registry.groups["g"], config, "zero_shot", seed=0)
 
 
 def test_trained_gold_model_encodes_same_sentence_differently_per_source():
@@ -300,8 +337,8 @@ def test_trained_gold_model_encodes_same_sentence_differently_per_source():
     registry.add_group(DatasetGroup(group_id="g", members=sorted(corpus)))
     config = tiny_config(task="tag_lemma", settings=["concat", "gold"])
     group = registry.groups["g"]
-    gold_model = run_setting(registry, group, config, "gold", seed=0).models["model"]
-    none_model = run_setting(registry, group, config, "concat", seed=0).models["model"]
+    gold_model = compute_cell(registry, group, config, "gold", seed=0).models["model"]
+    none_model = compute_cell(registry, group, config, "concat", seed=0).models["model"]
 
     sent = corpus["dialect_a"]["dev"].sentences[0]
     as_a = sent
@@ -449,6 +486,30 @@ def test_readme_experiment_config_example_is_a_valid_config():
     assert "registry" in example
     config = ExperimentConfig.from_dict(example)
     assert config.settings == ["base", "concat", "gold", "pred"]
+
+
+def readme_output_patterns():
+    """One regex per file name in the README's "Outputs" block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Outputs land under `--out`:", 1)[1].split("```\n")[1]
+    names = [line.split()[0] for line in block.splitlines() if line[:1] not in ("", " ")]
+    return [re.sub(r"<\w+>", "[^/]+", re.escape(name)) for name in names]
+
+
+def test_every_written_file_is_named_in_the_readme_outputs_block(tmp_path):
+    patterns = readme_output_patterns()
+    registry = mixture_registry()
+    one_epoch = replace(TINY_TRAINER, epochs=1)
+    run_experiment(registry, tiny_config(group_id="mix", settings=["pred"], trainer=one_epoch),
+                   tmp_path / "pred")
+    run_experiment(registry, tiny_config(group_id="mix", trainer=one_epoch, mode="zero_shot",
+                                         held_out_source="style_mix"), tmp_path / "zero")
+    assert (tmp_path / "pred" / "pca" / "mix_pred.tsv").exists()
+    for out in (tmp_path / "pred", tmp_path / "zero"):
+        written = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
+        assert len(written) >= 8
+        for name in written:
+            assert any(re.fullmatch(pattern, name) for pattern in patterns), name
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ import pytest
 
 from multisrc.conllu import Sentence, Token, Treebank
 from multisrc.errors import DataError
-from multisrc.metrics import EvalResult, aggregate, las, lemma_accuracy, morph_f1
+from multisrc.harness import ResultRow
+from multisrc.metrics import aggregate, las, lemma_accuracy, morph_f1
 from multisrc.registry import FilterReport
 
 from .helpers import sentence_from_words
@@ -178,26 +179,27 @@ def test_metrics_permutation_invariant():
 
 
 def report(sid, **kw):
-    defaults = dict(word_count=1000, classifier_f1=0.9, max_overlap=0.5,
+    defaults = dict(word_count=1000, max_overlap=0.5,
                     is_small=True, is_multilang_group=False, exists_same_lang=True,
                     svm_above_95=False, high_word_overlap=True)
     defaults.update(kw)
     return FilterReport(source_id=sid, **defaults)
 
 
+def avg_row(sid, setting, value, mode="in_dataset"):
+    return ResultRow("g", sid, setting, mode, "avg", "las", value, 0, 0)
+
+
 def test_aggregate_single_dataset_equals_its_value():
-    results = {"a": {"gold": EvalResult("las", 81.5, 163, 200)}}
-    rows = aggregate(results, {"a": report("a")})
+    rows = aggregate([avg_row("a", "gold", 81.5)], {"a": report("a")})
     all_row = [r for r in rows if r.bucket == "all"][0]
+    assert (all_row.mode, all_row.setting, all_row.metric) == ("in_dataset", "gold", "las")
     assert all_row.value == 81.5
     assert all_row.n_sources == 1
 
 
 def test_aggregate_mean_and_bucket_membership():
-    results = {
-        "a": {"gold": EvalResult("las", 80.0, 8, 10)},
-        "b": {"gold": EvalResult("las", 60.0, 6, 10)},
-    }
+    results = [avg_row("a", "gold", 80.0), avg_row("b", "gold", 60.0)]
     reports = {"a": report("a", is_small=True), "b": report("b", is_small=False)}
     rows = aggregate(results, reports)
     by_bucket = {(r.bucket, r.setting): r for r in rows}
@@ -208,17 +210,26 @@ def test_aggregate_mean_and_bucket_membership():
     assert ("multi-lang", "gold") not in by_bucket
 
 
+def test_aggregate_keeps_modes_apart():
+    results = [avg_row("a", "concat", 80.0), avg_row("b", "concat", 60.0),
+               avg_row("c", "concat", 10.0, mode="zero_shot")]
+    rows = aggregate(results, {sid: report(sid) for sid in "abc"})
+    by_key = {(r.bucket, r.mode, r.setting): (r.value, r.n_sources) for r in rows}
+    assert by_key[("all", "in_dataset", "concat")] == (70.0, 2)
+    assert by_key[("all", "zero_shot", "concat")] == (10.0, 1)
+
+
 def test_aggregate_matches_bruteforce_reaggregation():
     rng = random.Random(5)
     results, reports = {}, {}
     for i in range(8):
         sid = f"s{i}"
         results[sid] = {
-            setting: EvalResult("las", rng.uniform(0, 100), 0, 0)
-            for setting in ("base", "concat", "gold", "pred")
+            setting: rng.uniform(0, 100) for setting in ("base", "concat", "gold", "pred")
         }
         reports[sid] = report(sid, is_small=bool(rng.randrange(2)))
-    rows = aggregate(results, reports)
+    rows = aggregate([avg_row(sid, setting, value) for sid, scores in results.items()
+                      for setting, value in scores.items()], reports)
     for row in rows:
         if row.bucket == "all":
             members = sorted(results)
@@ -226,5 +237,5 @@ def test_aggregate_matches_bruteforce_reaggregation():
             members = [s for s in sorted(results) if reports[s].is_small == (row.bucket == "small")]
         else:
             continue
-        expected = sum(results[s][row.setting].value for s in members) / len(members)
+        expected = sum(results[s][row.setting] for s in members) / len(members)
         assert row.value == expected

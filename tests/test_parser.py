@@ -22,7 +22,7 @@ from multisrc.transitions import LEFT_ARC, RIGHT_ARC, SHIFT, SWAP, ParserState
 
 from .helpers import sentence_from_words, treebank_from_sentences
 
-SMALL = EncoderConfig(word_dim=12, char_dim=8, char_emb_dim=6, source_dim=0, hidden_dim=10)
+SMALL = EncoderConfig(word_dim=12, char_dim=8, char_emb_dim=6, source_dim=4, hidden_dim=10)
 
 
 def toy_corpus():

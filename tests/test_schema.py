@@ -12,7 +12,7 @@ from multisrc.parser_model import ParserConfig
 from multisrc.schema import from_dict, to_dict
 from multisrc.tagger import TaggerConfig
 
-ENCODER = EncoderConfig(word_dim=7, char_dim=6, char_emb_dim=5, source_dim=0, hidden_dim=9)
+ENCODER = EncoderConfig(word_dim=7, char_dim=6, char_emb_dim=5, source_dim=3, hidden_dim=9)
 TRAINER = TrainerConfig(
     learning_rate=0.5, seed=4, epochs=3, max_sentences_per_epoch=11, max_words_per_epoch=13,
 )

@@ -23,7 +23,7 @@ from multisrc.tagger import (
 from . import decoder_reference as R
 
 SMALL = TaggerConfig(
-    encoder=EncoderConfig(word_dim=10, char_dim=8, char_emb_dim=6, source_dim=0, hidden_dim=8),
+    encoder=EncoderConfig(word_dim=10, char_dim=8, char_emb_dim=6, source_dim=4, hidden_dim=8),
     tag_embedding_dim=6,
     decoder_hidden=16,
     decoder_char_dim=8,
