@@ -56,7 +56,8 @@ def build_parser() -> ArgumentParser:
     group.add_argument("--out", required=True, help="output directory")
     group.add_argument("--pair", help="source id to pair by word overlap")
     group.add_argument("--group-id", help="group to compute filters for")
-    group.add_argument("--classifier-f1", type=float, default=0.0)
+    group.add_argument("--classifier-f1", type=float,
+                       help="classifier macro F1; without it, svm_above_95 is left empty")
 
     classify = sub.add_parser("classify", help="data-source classifier")
     classify.add_argument("action", choices=["train", "predict", "gridsearch", "jackknife"])

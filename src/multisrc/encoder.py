@@ -9,9 +9,9 @@ the tagger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .conllu import Sentence, Treebank
+from .conllu import Sentence
 from .errors import DataError
 from .nn import BiLSTM, Embedding, ParamSet
 from .nn import tensor as T
@@ -55,45 +55,43 @@ class EncoderConfig:
         return 2 * self.hidden_dim
 
 
-@dataclass
-class VocabularyMeta:
-    """A vocabulary as checkpoint headers store it: entries in id order."""
-
-    words: list[str]
-    chars: list[str]
+def require_distinct(name: str, values: list[str]) -> None:
+    """One-line DataError if `values` holds an entry twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise DataError(f"repeated {name} entry {value!r}")
+        seen.add(value)
 
 
 @dataclass
 class Vocabulary:
-    words: dict[str, int] = field(default_factory=lambda: {UNK: 0})
-    chars: dict[str, int] = field(default_factory=lambda: {UNK: 0})
+    """Word and character entries in id order, UNK at id 0; a checkpoint
+    header stores exactly these two lists."""
+
+    words: list[str]
+    chars: list[str]
+
+    def __post_init__(self):
+        require_distinct("vocab.words", self.words)
+        require_distinct("vocab.chars", self.chars)
+        self.word_ids = {w: i for i, w in enumerate(self.words)}
+        self.char_ids = {c: i for i, c in enumerate(self.chars)}
 
     @classmethod
-    def build(cls, treebanks: list[Treebank]) -> "Vocabulary":
-        vocab = cls()
-        for tb in treebanks:
-            for sent in tb.sentences:
-                for tok in sent.tokens:
-                    vocab.words.setdefault(tok.form, len(vocab.words))
-                    for ch in tok.form:
-                        vocab.chars.setdefault(ch, len(vocab.chars))
-        return vocab
+    def build(cls, sentences: list[Sentence], extra_chars=()) -> "Vocabulary":
+        """Forms and their characters in first-seen order, then any new
+        characters of `extra_chars`."""
+        forms = [tok.form for sent in sentences for tok in sent.tokens]
+        chars = [ch for form in forms for ch in form]
+        return cls(list(dict.fromkeys([UNK, *forms])),
+                   list(dict.fromkeys([UNK, *chars, *extra_chars])))
 
     def word_id(self, form: str) -> int:
-        return self.words.get(form, 0)
+        return self.word_ids.get(form, 0)
 
     def char_id(self, ch: str) -> int:
-        return self.chars.get(ch, 0)
-
-    def to_meta(self) -> VocabularyMeta:
-        return VocabularyMeta(words=list(self.words), chars=list(self.chars))
-
-    @classmethod
-    def from_meta(cls, meta: VocabularyMeta) -> "Vocabulary":
-        vocab = cls()
-        vocab.words = {w: i for i, w in enumerate(meta.words)}
-        vocab.chars = {c: i for i, c in enumerate(meta.chars)}
-        return vocab
+        return self.char_ids.get(ch, 0)
 
 
 class DatasetEmbeddingTable:
@@ -189,10 +187,7 @@ class SentenceEncoder:
         word_parts = [word for _, word in embedded]
         if mode == MODE_NONE:
             return word_parts, chars
-        source = self._source_for(sentence, mode)
-        if source not in self.members:
-            raise DataError(f"source {source!r} is not a member of this model's group")
-        source_vec = self.source_table.lookup(source)
+        source_vec = self.source_table.lookup(self._source_for(sentence, mode))
         return [T.concat([w, source_vec]) for w in word_parts], chars
 
     def encode_sentence(self, sentence: Sentence, mode: str) -> tuple[list[Tensor], list[Tensor]]:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .classifier import (
     ClassifierHyper,
+    LinearModel,
     NGramConfig,
     featurize,
     jackknife_labels,
@@ -32,22 +33,16 @@ from .classifier import (
     save_model,
 )
 from .conllu import Sentence, Treebank, write_conllu
-from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig, Vocabulary, require_positive
+from .encoder import MODE_GOLD, MODE_NONE, MODE_PRED, EncoderConfig, require_positive
 from .errors import DataError
 from .metrics import AggregateRow, EvalResult, aggregate, las, lemma_accuracy, morph_f1
 from .nn import TrainerConfig
-from .parser_model import DependencyParser, ParserConfig, label_inventory, save_parser, train_parser
+from .nn.checkpoint import save_network
+from .parser_model import DependencyParser, ParserConfig, ParserHeader, train_parser
 from .pca import pca_project, pca_tsv
 from .registry import DatasetGroup, Registry, compute_filters
 from .schema import from_dict, to_tsv
-from .tagger import (
-    JointTagger,
-    TaggerConfig,
-    bundle_inventory,
-    lemma_char_inventory,
-    save_tagger,
-    train_joint,
-)
+from .tagger import JointTagger, TaggerConfig, TaggerHeader, train_joint
 from .trees import DependencyTree
 
 SETTINGS = ("base", "concat", "gold", "pred")
@@ -96,8 +91,8 @@ class ExperimentConfig:
                 raise DataError(f"{name} must be non-empty and distinct, got {values}")
         if self.mode == "zero_shot" and self.held_out_source is None:
             raise DataError("zero_shot requires held_out_source")
-        if self.tagger is None:
-            self.tagger = TaggerConfig(encoder=self.encoder)
+        # the tagger uses the experiment's encoder
+        self.tagger = replace(self.tagger or TaggerConfig(), encoder=self.encoder)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -108,9 +103,7 @@ class ExperimentConfig:
             value = raw.get(section) if isinstance(raw, dict) else None
             if isinstance(value, dict) and key in value:
                 raise DataError(f"experiment config: unknown key {key!r} in {section}: {reason}")
-        config = from_dict(cls, raw, "experiment config", extra={"registry"})
-        config.tagger = replace(config.tagger, encoder=config.encoder)
-        return config
+        return from_dict(cls, raw, "experiment config", extra={"registry"})
 
 
 @dataclass
@@ -166,38 +159,14 @@ def eval_split(registry: Registry, source_id: str) -> Treebank:
     return registry.split(source_id, "test")
 
 
-def _build_parser(config: ExperimentConfig, treebanks, labels, members, seed) -> DependencyParser:
-    vocab = Vocabulary.build(treebanks)
-    encoder = replace(config.encoder)
-    parser_config = ParserConfig(encoder=encoder, scorer_hidden=config.scorer_hidden)
-    return DependencyParser(parser_config, vocab, labels, members=members, seed=seed)
-
-
-def _build_tagger(config: ExperimentConfig, treebanks, members, seed) -> JointTagger:
-    vocab = Vocabulary.build(treebanks)
-    for tb in treebanks:
-        for sent in tb.sentences:
-            for tok in sent.tokens:
-                for ch in tok.lemma:
-                    vocab.chars.setdefault(ch, len(vocab.chars))
-    tagger_config = replace(config.tagger, encoder=replace(config.encoder))
-    return JointTagger(
-        tagger_config,
-        vocab,
-        bundles=bundle_inventory(treebanks),
-        lemma_chars=lemma_char_inventory(treebanks),
-        members=members,
-        seed=seed,
-    )
-
-
 def _train_model(config: ExperimentConfig, treebanks, members, encoder_mode, trainer):
     if config.task == "parse":
         data = [(sent, DependencyTree.from_sentence(sent)) for tb in treebanks for sent in tb.sentences]
-        model = _build_parser(config, treebanks, label_inventory(data), members, trainer.seed)
+        parser_config = ParserConfig(encoder=config.encoder, scorer_hidden=config.scorer_hidden)
+        model = DependencyParser(parser_config, ParserHeader.build(data, members, trainer.seed))
         train_parser(model, data, encoder_mode, trainer)
     else:
-        model = _build_tagger(config, treebanks, members, trainer.seed)
+        model = JointTagger(config.tagger, TaggerHeader.build(treebanks, members, trainer.seed))
         train_joint(model, treebanks, encoder_mode, trainer)
     return model
 
@@ -265,7 +234,7 @@ def _predict_split(registry: Registry, config: ExperimentConfig, model, setting:
         routed = _route_sentences(classifier, gold_tb.sentences, config.ngram)
         (eval_tb,) = _with_predicted_ids([gold_tb], routed)
     mode = SETTING_ENCODER_MODE[setting]
-    if isinstance(model, DependencyParser):
+    if config.task == "parse":
         return gold_tb, model.parse_treebank(eval_tb, mode), routed
     return gold_tb, model.annotate_treebank(eval_tb, mode), routed
 
@@ -425,12 +394,10 @@ def run_cell(
         )
     for name, model in sorted(outcome.models.items()):
         path = cell_dir / f"checkpoint_{name}.npz"
-        if isinstance(model, DependencyParser):
-            save_parser(path, model)
-        elif isinstance(model, JointTagger):
-            save_tagger(path, model)
-        else:
+        if isinstance(model, LinearModel):
             save_model(path, model)
+        else:
+            save_network(path, model)
     return outcome, cell_dir
 
 

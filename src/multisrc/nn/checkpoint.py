@@ -1,14 +1,21 @@
-"""Versioned model checkpoints: exact float64 round-trip via npz."""
+"""Versioned model checkpoints: exact float64 round-trip via npz.
+
+A network (parser or tagger) is its config, its header and its parameters:
+`save_network` writes the header's keys and the config beside the arrays,
+and `load_network` rebuilds the network from them.
+"""
 
 from __future__ import annotations
 
 import json
+import typing
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
+from ..schema import from_dict, to_dict
 
 FORMAT_VERSION = 3
 _META_KEY = "__meta__"
@@ -43,6 +50,26 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             raise DataError(f"{path}: checkpoint header needs a string kind and an object meta")
         arrays = {name: data[name] for name in data.files if name != _META_KEY}
     return header["kind"], header["meta"], arrays
+
+
+def save_network(path: str | Path, model) -> None:
+    """Write `model`'s header keys and its `config` under the model's kind."""
+    meta = {**to_dict(model.header), "config": to_dict(model.config)}
+    save_checkpoint(path, model.KIND, meta, model.params.state_arrays())
+
+
+def load_network(path: str | Path, cls):
+    """Rebuild a `cls` network from its checkpoint; the header and config
+    classes are the ones `cls(config, header)` is annotated with."""
+    kind, meta, arrays = load_checkpoint(path)
+    if kind != cls.KIND:
+        raise DataError(f"{path}: expected a {cls.KIND} checkpoint, got {kind!r}")
+    inputs = typing.get_type_hints(cls.__init__)
+    header = from_dict(inputs["header"], meta, f"{path} header", extra={"config"}, require_all=True)
+    config = from_dict(inputs["config"], meta.get("config"), f"{path} config", require_all=True)
+    model = cls(config, header)
+    model.params.load_arrays(arrays)
+    return model
 
 
 def _open_archive(fh, path) -> np.lib.npyio.NpzFile:

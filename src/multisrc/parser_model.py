@@ -22,15 +22,13 @@ from .encoder import (
     EncoderConfig,
     SentenceEncoder,
     Vocabulary,
-    VocabularyMeta,
+    require_distinct,
     require_positive,
 )
 from .errors import DataError, NumericError
 from .nn import Affine, Embedding, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
-from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .oracle import DynamicOracle
-from .schema import from_dict, to_dict
 from .trees import DependencyTree
 from .transitions import (
     ARC_KINDS,
@@ -58,23 +56,38 @@ class ParserConfig:
         require_positive(self, ["scorer_hidden"])
 
 
-class DependencyParser:
-    def __init__(
-        self,
-        config: ParserConfig,
-        vocab: Vocabulary,
-        labels: list[str],
-        members: list[str] | None = None,
-        seed: int = 0,
-    ):
-        if not labels:
+@dataclass
+class ParserHeader:
+    """What a parser is built from beside its config, and what its checkpoint
+    header stores beside it."""
+
+    labels: list[str]
+    members: list[str]  # dataset group; empty without source conditioning
+    seed: int  # parameter initialisation
+    vocab: Vocabulary
+
+    def __post_init__(self):
+        if not self.labels:
             raise DataError("parser needs a non-empty label inventory")
+        require_distinct("labels", self.labels)
+
+    @classmethod
+    def build(cls, data: list[tuple[Sentence, DependencyTree]], members: list[str],
+              seed: int) -> "ParserHeader":
+        """Sorted labels and the vocabulary of the training data."""
+        labels = sorted({label for _, tree in data for label in tree.deprels})
+        return cls(labels, list(members), seed, Vocabulary.build([sent for sent, _ in data]))
+
+
+class DependencyParser:
+    KIND = "dep_parser"
+
+    def __init__(self, config: ParserConfig, header: ParserHeader):
         self.config = config
-        self.labels = list(labels)
-        self.members = list(members or [])
-        self.seed = seed
-        self.params = ParamSet(np.random.default_rng(seed))
-        self.encoder = SentenceEncoder(self.params, config.encoder, vocab, self.members)
+        self.header = header
+        self.labels = header.labels
+        self.params = ParamSet(np.random.default_rng(header.seed))
+        self.encoder = SentenceEncoder(self.params, config.encoder, header.vocab, header.members)
         enc_dim = config.encoder.output_dim
         # row 0: artificial root encoding, row 1: empty-slot padding
         self.special = Embedding(self.params, "special_slots", 2, enc_dim)
@@ -132,10 +145,6 @@ class DependencyParser:
                       for tok in sent.tokens]
             out.append(replace(sent, tokens=tokens))
         return replace(treebank, sentences=out)
-
-
-def label_inventory(data: list[tuple[Sentence, DependencyTree]]) -> list[str]:
-    return sorted({label for _, tree in data for label in tree.deprels})
 
 
 def train_parser(
@@ -230,37 +239,3 @@ def _choose_transition(model, score_values, costs, allowed_kinds, zero_idx, expl
         candidates = model.kind_indices[min(allowed_kinds, key=lambda k: (costs[k], k))]
     return model.transitions[max(candidates, key=lambda i: (score_values[i], -i))]
 
-
-# -- persistence ---------------------------------------------------------------
-
-
-@dataclass
-class ParserHeader:
-    """The parser checkpoint's header keys beside its `config`."""
-
-    labels: list[str]
-    members: list[str]
-    seed: int
-    vocab: VocabularyMeta
-
-
-def save_parser(path, model: DependencyParser):
-    header = ParserHeader(model.labels, model.members, model.seed, model.encoder.vocab.to_meta())
-    meta = {**to_dict(header), "config": to_dict(model.config)}
-    save_checkpoint(path, "dep_parser", meta, model.params.state_arrays())
-
-
-def load_parser(path) -> DependencyParser:
-    kind, meta, arrays = load_checkpoint(path)
-    if kind != "dep_parser":
-        raise DataError(f"{path}: expected a dep_parser checkpoint, got {kind!r}")
-    header = from_dict(ParserHeader, meta, f"{path} header", extra={"config"}, require_all=True)
-    model = DependencyParser(
-        from_dict(ParserConfig, meta.get("config"), f"{path} config", require_all=True),
-        Vocabulary.from_meta(header.vocab),
-        labels=header.labels,
-        members=header.members,
-        seed=header.seed,
-    )
-    model.params.load_arrays(arrays)
-    return model

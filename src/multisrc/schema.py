@@ -75,7 +75,8 @@ def _decode(hint, value, where: str, require_all: bool, path: str):
 
 def to_tsv(cls, rows) -> str:
     """A header of `cls`'s field names, then one line per row: floats as
-    `.12g`, booleans as 0/1, anything else through `str`."""
+    `.12g`, booleans as 0/1, None (not measured) as an empty cell, anything
+    else through `str`."""
     names = [f.name for f in dataclasses.fields(cls)]
     lines = ["\t".join(names)]
     lines += ["\t".join(_cell(getattr(row, name)) for name in names) for row in rows]
@@ -83,6 +84,8 @@ def to_tsv(cls, rows) -> str:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):

@@ -14,12 +14,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .conllu import Sentence, Treebank
-from .encoder import EncoderConfig, SentenceEncoder, Vocabulary, VocabularyMeta, require_positive
+from .encoder import (
+    EncoderConfig,
+    SentenceEncoder,
+    Vocabulary,
+    require_distinct,
+    require_positive,
+)
 from .errors import DataError
 from .nn import AdditiveAttention, Affine, Embedding, LSTM, Optimizer, ParamSet, TrainerConfig
 from .nn import tensor as T
-from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .schema import from_dict, to_dict
 
 EOS = 0  # output index 0 ends the lemma; input index 0 is begin-of-sequence
 
@@ -50,27 +54,51 @@ class TaggerConfig:
                                 "attention_hidden"])
 
 
-class JointTagger:
-    def __init__(
-        self,
-        config: TaggerConfig,
-        vocab: Vocabulary,
-        bundles: list[str],
-        lemma_chars: list[str],
-        members: list[str] | None = None,
-        seed: int = 0,
-    ):
-        if not bundles:
+@dataclass
+class TaggerHeader:
+    """What a tagger is built from beside its config, and what its checkpoint
+    header stores beside it."""
+
+    bundles: list[str]
+    lemma_chars: list[str]
+    members: list[str]  # dataset group; empty without source conditioning
+    seed: int  # parameter initialisation
+    vocab: Vocabulary
+
+    def __post_init__(self):
+        if not self.bundles:
             raise DataError("tagger needs a non-empty bundle inventory")
+        require_distinct("bundles", self.bundles)
+        require_distinct("lemma_chars", self.lemma_chars)
+
+    @classmethod
+    def build(cls, treebanks: list[Treebank], members: list[str], seed: int) -> "TaggerHeader":
+        """Sorted bundles and lemma characters of the training tokens, and
+        their vocabulary with the lemma characters added to its characters."""
+        sentences = [s for tb in treebanks for s in tb.sentences]
+        tokens = [t for s in sentences for t in s.tokens]
+        lemma_chars = [c for t in tokens for c in t.lemma]
+        return cls(
+            bundles=sorted({bundle_string(t.morph) for t in tokens}),
+            lemma_chars=sorted(set(lemma_chars)),
+            members=list(members),
+            seed=seed,
+            vocab=Vocabulary.build(sentences, lemma_chars),
+        )
+
+
+class JointTagger:
+    KIND = "joint_tagger"
+
+    def __init__(self, config: TaggerConfig, header: TaggerHeader):
         self.config = config
-        self.bundles = list(bundles)
+        self.header = header
+        self.bundles = header.bundles
         self.bundle_index = {b: i for i, b in enumerate(self.bundles)}
-        self.lemma_chars = list(lemma_chars)
+        self.lemma_chars = header.lemma_chars
         self.char_out_index = {c: i + 1 for i, c in enumerate(self.lemma_chars)}
-        self.members = list(members or [])
-        self.seed = seed
-        self.params = ParamSet(np.random.default_rng(seed))
-        self.encoder = SentenceEncoder(self.params, config.encoder, vocab, self.members)
+        self.params = ParamSet(np.random.default_rng(header.seed))
+        self.encoder = SentenceEncoder(self.params, config.encoder, header.vocab, header.members)
         enc_dim = config.encoder.output_dim
         char_enc_dim = config.encoder.char_dim
         self.tag_head = Affine(self.params, "tag_head", enc_dim, len(self.bundles))
@@ -175,17 +203,6 @@ class JointTagger:
         return replace(treebank, sentences=out)
 
 
-def bundle_inventory(treebanks: list[Treebank]) -> list[str]:
-    """Sorted canonical bundles over the training tokens (stable ids)."""
-    bundles = {bundle_string(t.morph) for tb in treebanks for s in tb.sentences for t in s.tokens}
-    return sorted(bundles)
-
-
-def lemma_char_inventory(treebanks: list[Treebank]) -> list[str]:
-    chars = {c for tb in treebanks for s in tb.sentences for t in s.tokens for c in t.lemma}
-    return sorted(chars)
-
-
 def train_joint(
     model: JointTagger,
     treebanks: list[Treebank],
@@ -225,40 +242,3 @@ def train_joint(
         history["lemma_loss"].append(lemma_total)
     return history
 
-
-# -- persistence ---------------------------------------------------------------
-
-
-@dataclass
-class TaggerHeader:
-    """The tagger checkpoint's header keys beside its `config`."""
-
-    bundles: list[str]
-    lemma_chars: list[str]
-    members: list[str]
-    seed: int
-    vocab: VocabularyMeta
-
-
-def save_tagger(path, model: JointTagger):
-    header = TaggerHeader(model.bundles, model.lemma_chars, model.members, model.seed,
-                          model.encoder.vocab.to_meta())
-    meta = {**to_dict(header), "config": to_dict(model.config)}
-    save_checkpoint(path, "joint_tagger", meta, model.params.state_arrays())
-
-
-def load_tagger(path) -> JointTagger:
-    kind, meta, arrays = load_checkpoint(path)
-    if kind != "joint_tagger":
-        raise DataError(f"{path}: expected a joint_tagger checkpoint, got {kind!r}")
-    header = from_dict(TaggerHeader, meta, f"{path} header", extra={"config"}, require_all=True)
-    model = JointTagger(
-        from_dict(TaggerConfig, meta.get("config"), f"{path} config", require_all=True),
-        Vocabulary.from_meta(header.vocab),
-        bundles=header.bundles,
-        lemma_chars=header.lemma_chars,
-        members=header.members,
-        seed=header.seed,
-    )
-    model.params.load_arrays(arrays)
-    return model

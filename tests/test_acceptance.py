@@ -26,7 +26,7 @@ from multisrc.metrics import las, lemma_accuracy, morph_f1
 from multisrc.nn import Affine, Embedding, ParamSet, TrainerConfig
 from multisrc.nn import tensor as T
 from multisrc.oracle import DynamicOracle
-from multisrc.parser_model import DependencyParser, ParserConfig
+from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader
 from multisrc.pca import pca_project
 from multisrc.registry import DataSource, DatasetGroup, Registry
 from multisrc.schema import to_tsv
@@ -246,12 +246,12 @@ def test_criterion_04_gradient_checks_every_layer():
 
     # parser scorer with the margin hinge loss (loss #1)
     tb = treebank_from_sentences("s", [["aa", "bb"]])
-    vocab = Vocabulary.build([tb])
+    vocab = Vocabulary.build(tb.sentences)
     cfg = ParserConfig(
         encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=3, source_dim=2, hidden_dim=3),
         scorer_hidden=5,
     )
-    parser = DependencyParser(cfg, vocab, labels=["dep", "root"], seed=9)
+    parser = DependencyParser(cfg, ParserHeader(["dep", "root"], [], 9, vocab))
     sent = tb.sentences[0]
     state = ParserState.initial(2)
     state = apply_transition(state, Transition(SHIFT))
@@ -400,6 +400,19 @@ def test_criterion_06_dataset_embedding_separability():
     )
 
 
+def own_fold_leak(banks, result) -> bool:
+    """Whether some jack-knife label differs from the prediction of a model
+    trained on the other folds' vectors."""
+    labelled = [(featurize(s.text, ACCEPT_NGRAM), tb.source_id) for tb in banks for s in tb.sentences]
+    leak = False
+    for fold in range(result.k):
+        model = train_linear([ex for ex, f in zip(labelled, result.fold_of_sentence) if f != fold],
+                             ACCEPT_NGRAM, ACCEPT_CLF)
+        leak |= any(result.predictions[i] != predict_source(model, labelled[i][0])[0]
+                    for i, f in enumerate(result.fold_of_sentence) if f == fold)
+    return leak
+
+
 def test_criterion_07_classifier_jackknife():
     started = time.time()
     rng = random.Random(707)
@@ -412,20 +425,26 @@ def test_criterion_07_classifier_jackknife():
     result = jackknife_labels(banks, ACCEPT_NGRAM, ACCEPT_CLF)
     gold = ["src_a"] * 200 + ["src_b"] * 200
     f1 = macro_f1(gold, result.predictions)
-    # each label must be the prediction of a model trained on the other folds' vectors
-    labelled = [(featurize(s.text, ACCEPT_NGRAM), tb.source_id) for tb in banks for s in tb.sentences]
-    own_fold_leak = False
-    for fold in range(result.k):
-        model = train_linear([ex for ex, f in zip(labelled, result.fold_of_sentence) if f != fold],
-                             ACCEPT_NGRAM, ACCEPT_CLF)
-        own_fold_leak |= any(result.predictions[i] != predict_source(model, labelled[i][0])[0]
-                             for i, f in enumerate(result.fold_of_sentence) if f == fold)
+    # on disjoint vocabularies every fold model labels like the all-folds
+    # model, so the own-fold check also runs on a shared vocabulary, where
+    # the all-folds model labels some sentence differently and a leak shows
+    words = [f"w{i}" for i in range(12)]
+    shared = [treebank_from_sentences(source, [[rng.choice(words) for _ in range(3)]
+                                               for _ in range(20)])
+              for source in ("src_a", "src_b")]
+    shared_result = jackknife_labels(shared, ACCEPT_NGRAM, ACCEPT_CLF)
+    seen = [predict_source(shared_result.model, featurize(s.text, ACCEPT_NGRAM))[0]
+            for tb in shared for s in tb.sentences]
+    sensitive = seen != shared_result.predictions
+    leak = own_fold_leak(banks, result) or own_fold_leak(shared, shared_result)
     elapsed = time.time() - started
     report(
         7,
-        "disjoint-vocabulary jack-knifing reaches macro F1 >= 0.99 with no own-fold leakage",
-        f1 >= 0.99 and result.k == 5 and not own_fold_leak and elapsed < 60,
-        f"macro F1 {f1:.4f}, k={result.k}, {elapsed:.1f}s",
+        "disjoint-vocabulary jack-knifing reaches macro F1 >= 0.99; no own-fold leakage on "
+        "disjoint or shared vocabularies",
+        f1 >= 0.99 and result.k == 5 and sensitive and not leak and elapsed < 60,
+        f"macro F1 {f1:.4f}, k={result.k}, own-fold leak: {leak}, shared-vocabulary labels "
+        f"differ from the all-folds model's: {sensitive}, {elapsed:.1f}s",
     )
 
 

@@ -114,6 +114,20 @@ def test_group_pairing_and_filters(tmp_path, capsys):
     assert len(filters) == 3
 
 
+def test_group_without_classifier_f1_writes_no_svm_verdict(tmp_path, capsys):
+    write_corpus(ambiguity_corpus(seed=3), tmp_path / "data", group_id="amb")
+    verdicts = {}
+    for flag in ([], ["--classifier-f1", "0.99"]):
+        out = tmp_path / f"groups{len(flag)}"
+        code, _, _ = run(["group", "--config", str(tmp_path / "data" / "registry.json"),
+                          "--out", str(out), "--group-id", "amb", *flag], capsys)
+        assert code == 0
+        header, *rows = (out / "filters.tsv").read_text().splitlines()
+        column = header.split("\t").index("svm_above_95")
+        verdicts[tuple(flag)] = [row.split("\t")[column] for row in rows]
+    assert verdicts == {(): ["", ""], ("--classifier-f1", "0.99"): ["1", "1"]}
+
+
 def test_classify_train_predict_jackknife(tmp_path, capsys):
     data_dir = tmp_path / "data"
     write_corpus(ambiguity_corpus(seed=5), data_dir, group_id="amb")

@@ -13,6 +13,7 @@ from multisrc.encoder import (
 from multisrc.errors import DataError
 from multisrc.nn import Optimizer, ParamSet, TrainerConfig
 from multisrc.nn import tensor as T
+from multisrc.schema import from_dict, to_dict
 
 from .gradcheck import mul, vsum
 from .helpers import sentence_from_words, treebank_from_sentences
@@ -22,7 +23,7 @@ CFG = EncoderConfig(word_dim=8, char_dim=6, char_emb_dim=4, source_dim=3, hidden
 
 def build(members=("src_a", "src_b"), cfg=CFG, seed=42):
     tb = treebank_from_sentences("src_a", [["cats", "sleep"], ["dogs", "bark"]])
-    vocab = Vocabulary.build([tb])
+    vocab = Vocabulary.build(tb.sentences)
     params = ParamSet(np.random.default_rng(seed))
     encoder = SentenceEncoder(params, cfg, vocab, list(members))
     return encoder, params, vocab
@@ -163,7 +164,7 @@ def test_table_lookup_validation_and_export():
 
 def test_vocabulary_meta_roundtrip():
     tb = treebank_from_sentences("s", [["ab", "cd"]])
-    vocab = Vocabulary.build([tb])
-    again = Vocabulary.from_meta(vocab.to_meta())
+    vocab = Vocabulary.build(tb.sentences)
+    again = from_dict(Vocabulary, to_dict(vocab), "vocab", require_all=True)
     assert again.words == vocab.words
     assert again.chars == vocab.chars

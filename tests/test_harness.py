@@ -11,17 +11,21 @@ from multisrc.conllu import write_conllu
 from multisrc.encoder import EncoderConfig
 from multisrc.errors import DataError
 from multisrc.harness import (
+    SETTING_ENCODER_MODE,
     ExperimentConfig,
     ResultRow,
     compute_cell,
+    run_cell,
     run_experiment,
     seed_averages,
     load_experiment_file,
 )
 from multisrc.nn import TrainerConfig
+from multisrc.nn.checkpoint import load_network
+from multisrc.parser_model import DependencyParser
 from multisrc.registry import DataSource, DatasetGroup, Registry
 from multisrc.synth import ambiguity_corpus, mixture_corpus, write_corpus
-from multisrc.tagger import TaggerConfig
+from multisrc.tagger import JointTagger, TaggerConfig
 
 from .helpers import treebank_from_sentences
 
@@ -269,6 +273,51 @@ def test_cells_leave_the_registry_untouched(task):
             for sent in predicted.sentences:
                 assert id(sent) not in registry_objects
                 assert not any(id(tok) in registry_objects for tok in sent.tokens)
+
+
+@pytest.fixture(scope="module")
+def written_cells(tmp_path_factory):
+    """A parser gold cell and a tagger pred cell, written by run_cell."""
+    cells = {}
+    for task, setting in (("parse", "gold"), ("tag_lemma", "pred")):
+        registry = mixture_registry()
+        config = tiny_config(task=task, group_id="mix", settings=[setting],
+                             trainer=replace(TINY_TRAINER, epochs=1))
+        outcome, cell_dir = run_cell(registry, registry.groups["mix"], config, setting, 0,
+                                     tmp_path_factory.mktemp(task))
+        cells[task] = (registry, setting, outcome, cell_dir)
+    return cells
+
+
+@pytest.mark.parametrize("task, cls, predict", [
+    ("parse", DependencyParser, DependencyParser.parse_treebank),
+    ("tag_lemma", JointTagger, JointTagger.annotate_treebank),
+])
+def test_cell_checkpoint_reloads_to_the_cell_predictions(written_cells, task, cls, predict):
+    registry, setting, outcome, cell_dir = written_cells[task]
+    model = load_network(cell_dir / "checkpoint_model.npz", cls)
+    for source in registry.groups["mix"].members:
+        eval_tb = registry.split(source, "dev")
+        if setting == "pred":
+            routes = outcome.routing[source]
+            eval_tb = replace(eval_tb, sentences=[replace(sent, predicted_source_id=route)
+                                                  for sent, route in zip(eval_tb.sentences, routes)])
+        predicted = predict(model, eval_tb, SETTING_ENCODER_MODE[setting])
+        written = (cell_dir / f"predictions_{source}.conllu").read_text(encoding="utf-8")
+        assert write_conllu(predicted, embed_source_in_misc=True) == written
+
+
+@pytest.mark.parametrize("task, checkpoint, cls, kind", [
+    ("tag_lemma", "model", DependencyParser, "joint_tagger"),
+    ("parse", "model", JointTagger, "dep_parser"),
+    ("tag_lemma", "classifier", DependencyParser, "source_classifier"),
+    ("tag_lemma", "classifier", JointTagger, "source_classifier"),
+])
+def test_a_checkpoint_of_another_kind_is_refused(written_cells, task, checkpoint, cls, kind):
+    path = written_cells[task][3] / f"checkpoint_{checkpoint}.npz"
+    with pytest.raises(DataError, match=f"expected a {cls.KIND} checkpoint, got '{kind}'$") as excinfo:
+        load_network(path, cls)
+    assert "\n" not in str(excinfo.value)
 
 
 def test_zero_shot_experiment_reports_jackknife_f1_in_filters(tmp_path):

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from multisrc.conllu import Treebank
-from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
+from multisrc.encoder import MODE_NONE, EncoderConfig
 from multisrc.errors import DataError, NumericError
 from multisrc.metrics import las
 from multisrc.nn import TrainerConfig
-from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
-from multisrc.parser_model import (
-    DependencyParser,
-    ParserConfig,
-    label_inventory,
-    load_parser,
-    save_parser,
-    train_parser,
-)
+from multisrc.nn.checkpoint import load_checkpoint, load_network, save_checkpoint, save_network
+from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader, train_parser
 from multisrc.trees import DependencyTree
 from multisrc.transitions import LEFT_ARC, RIGHT_ARC, SHIFT, SWAP, ParserState
 
@@ -42,15 +35,9 @@ def toy_corpus():
 
 
 def build_model(data, cfg=None, seed=5):
-    vocab = Vocabulary.build(
-        [treebank_from_sentences("toy", [[t.form for t in s.tokens] for s, _ in data])]
-    )
-    labels = label_inventory(data)
     return DependencyParser(
         ParserConfig(encoder=cfg or SMALL, scorer_hidden=24),
-        vocab,
-        labels,
-        seed=seed,
+        ParserHeader.build(data, [], seed),
     )
 
 
@@ -171,8 +158,8 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
     model = build_model(data)
     train_parser(model, data, MODE_NONE, trainer(5))
     path = tmp_path / "parser.npz"
-    save_parser(path, model)
-    loaded = load_parser(path)
+    save_network(path, model)
+    loaded = load_network(path, DependencyParser)
     for sent, _ in data:
         t1 = model.parse_sentence(sent, MODE_NONE)
         t2 = loaded.parse_sentence(sent, MODE_NONE)
@@ -193,16 +180,19 @@ def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
         (lambda m: m.pop("labels"), "header lacks required key 'labels'"),
         (lambda m: m.update(seed="0"), "header: seed must be int, got '0'"),
         (lambda m: m["config"].update(use_swap=True), "unknown key 'use_swap' in .* config$"),
+        (lambda m: m.update(labels=["det"] * len(m["labels"])), "^repeated labels entry 'det'$"),
+        (lambda m: m["vocab"]["words"].__setitem__(2, "the"), "^repeated vocab.words entry 'the'$"),
     ],
     ids=["missing", "missing-defaulted", "extra", "wrong-type", "no-config",
-         "no-vocab", "no-vocab-chars", "no-labels", "string-seed", "stale-use-swap"],
+         "no-vocab", "no-vocab-chars", "no-labels", "string-seed", "stale-use-swap",
+         "repeated-label", "repeated-word"],
 )
 def test_parser_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
     path = tmp_path / "parser.npz"
-    save_parser(path, build_model(toy_corpus()))
+    save_network(path, build_model(toy_corpus()))
     kind, meta, arrays = load_checkpoint(path)
     tamper(meta)
     save_checkpoint(path, kind, meta, arrays)
     with pytest.raises(DataError, match=message) as excinfo:
-        load_parser(path)
+        load_network(path, DependencyParser)
     assert "\n" not in str(excinfo.value)

@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 
 from multisrc.conllu import Sentence, Token, Treebank
-from multisrc.encoder import MODE_NONE, EncoderConfig, SentenceEncoder, Vocabulary
+from multisrc.encoder import MODE_NONE, EncoderConfig, SentenceEncoder
 from multisrc.errors import DataError
 from multisrc.nn import TrainerConfig
-from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
+from multisrc.nn.checkpoint import load_checkpoint, load_network, save_checkpoint, save_network
 from multisrc.nn.tensor import Parameter, Tensor
 from multisrc.tagger import (
     JointTagger,
     TaggerConfig,
+    TaggerHeader,
     bundle_features,
-    bundle_inventory,
     bundle_string,
-    lemma_char_inventory,
-    load_tagger,
     max_lemma_length,
-    save_tagger,
     train_joint,
 )
 
@@ -64,18 +61,7 @@ def plural_corpus():
 
 
 def build_model(treebank, seed=2, cfg=SMALL):
-    vocab = Vocabulary.build([treebank])
-    for s in treebank.sentences:
-        for t in s.tokens:
-            for ch in t.lemma:
-                vocab.chars.setdefault(ch, len(vocab.chars))
-    return JointTagger(
-        cfg,
-        vocab,
-        bundles=bundle_inventory([treebank]),
-        lemma_chars=lemma_char_inventory([treebank]),
-        seed=seed,
-    )
+    return JointTagger(cfg, TaggerHeader.build([treebank], [], seed))
 
 
 def trainer(epochs, seed=0, lr=0.02):
@@ -91,8 +77,8 @@ def test_bundle_canonicalization():
 
 def test_bundle_inventory_is_pure_function_of_data():
     tb = identity_corpus()
-    assert bundle_inventory([tb]) == bundle_inventory([tb])
-    assert bundle_inventory([tb]) == sorted({"Pos=N", "Pos=V"})
+    assert TaggerHeader.build([tb], [], 0).bundles == TaggerHeader.build([tb], [], 0).bundles
+    assert TaggerHeader.build([tb], [], 0).bundles == sorted({"Pos=N", "Pos=V"})
 
 
 def test_tag_output_length_and_empty_sentence():
@@ -303,8 +289,8 @@ def test_checkpoint_roundtrip_reproduces_annotations(tmp_path):
     tb = identity_corpus()
     model = build_model(tb)
     train_joint(model, [tb], MODE_NONE, trainer(8))
-    save_tagger(tmp_path / "tagger.npz", model)
-    loaded = load_tagger(tmp_path / "tagger.npz")
+    save_network(tmp_path / "tagger.npz", model)
+    loaded = load_network(tmp_path / "tagger.npz", JointTagger)
     for sent in tb.sentences[:4]:
         assert model.annotate_sentence(sent, MODE_NONE) == loaded.annotate_sentence(sent, MODE_NONE)
 
@@ -320,16 +306,21 @@ def test_checkpoint_roundtrip_reproduces_annotations(tmp_path):
         (lambda m: m.pop("bundles"), "header lacks required key 'bundles'"),
         (lambda m: m["lemma_chars"].append(7), r"header: lemma_chars\[\d+\] must be str"),
         (lambda m: m.update(seed="0"), "header: seed must be int, got '0'"),
+        (lambda m: m.update(bundles=["Pos=N"] * len(m["bundles"])), "^repeated bundles entry 'Pos=N'$"),
+        (lambda m: m.update(lemma_chars=["a"] * len(m["lemma_chars"])),
+         "^repeated lemma_chars entry 'a'$"),
+        (lambda m: m["vocab"]["chars"].__setitem__(2, "c"), "^repeated vocab.chars entry 'c'$"),
     ],
     ids=["missing", "missing-nested", "extra", "wrong-type",
-         "no-vocab", "no-bundles", "int-lemma-char", "string-seed"],
+         "no-vocab", "no-bundles", "int-lemma-char", "string-seed",
+         "repeated-bundle", "repeated-lemma-char", "repeated-char"],
 )
 def test_tagger_checkpoint_rejects_a_tampered_config(tmp_path, tamper, message):
     path = tmp_path / "tagger.npz"
-    save_tagger(path, build_model(identity_corpus()))
+    save_network(path, build_model(identity_corpus()))
     kind, meta, arrays = load_checkpoint(path)
     tamper(meta)
     save_checkpoint(path, kind, meta, arrays)
     with pytest.raises(DataError, match=message) as excinfo:
-        load_tagger(path)
+        load_network(path, JointTagger)
     assert "\n" not in str(excinfo.value)
