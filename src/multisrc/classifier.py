@@ -252,7 +252,8 @@ def grid_search(
 
 @dataclass
 class JackknifeResult:
-    predictions: list[str]  # aligned with the pooled sentence order
+    gold: list[str]  # each pooled sentence's source, in pooled order
+    predictions: list[str]  # aligned with `gold`
     fold_of_sentence: list[int]
     k: int
     model: LinearModel  # fit on every fold, for labelling unseen sentences
@@ -299,6 +300,7 @@ def jackknife_labels(
             if fold_of_sentence[i] == fold:
                 predictions[i], _ = predict_source(model, labelled[i][0])
     return JackknifeResult(
+        gold=[source for _, source in pooled],
         predictions=list(predictions),
         fold_of_sentence=fold_of_sentence,
         k=k,

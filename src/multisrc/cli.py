@@ -11,11 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .classifier import (
-    ClassifierHyper,
-    NGramConfig,
     default_grid,
     featurize,
     grid_search,
@@ -28,12 +24,17 @@ from .classifier import (
 )
 from .conllu import parse_conllu, write_conllu
 from .errors import DataError, MultisrcError, UsageError
-from .harness import SETTINGS, load_experiment_file, run_cell, run_experiment
+from .harness import SETTINGS, cell_plan, load_experiment_file, run_cell, run_experiment
 from .metrics import METRIC_FUNCTIONS
-from .pca import pca_project, pca_tsv
-from .registry import FilterReport, compute_filters, load_registry, pair_by_overlap
+from .nn.checkpoint import load_checkpoint, load_network
+from .parser_model import DependencyParser
+from .pca import PcaRow, pca_rows
+from .registry import FilterReport, compute_filters, pair_by_overlap
 from .schema import to_tsv
 from .synth import ambiguity_corpus, mixture_corpus, write_corpus
+from .tagger import JointTagger
+
+NETWORKS = {cls.KIND: cls for cls in (DependencyParser, JointTagger)}
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -52,28 +53,19 @@ def build_parser() -> ArgumentParser:
     convert.add_argument("--stamp-misc", action="store_true")
 
     group = sub.add_parser("group", help="overlap pairing and dataset filters")
-    group.add_argument("--config", required=True, help="registry JSON")
+    group.add_argument("--config", required=True, help="experiment JSON")
     group.add_argument("--out", required=True, help="output directory")
     group.add_argument("--pair", help="source id to pair by word overlap")
-    group.add_argument("--group-id", help="group to compute filters for")
     group.add_argument("--classifier-f1", type=float,
                        help="classifier macro F1; without it, svm_above_95 is left empty")
 
     classify = sub.add_parser("classify", help="data-source classifier")
     classify.add_argument("action", choices=["train", "predict", "gridsearch", "jackknife"])
-    classify.add_argument("--config", help="registry JSON")
-    classify.add_argument("--group-id")
+    classify.add_argument("--config", help="experiment JSON (train, gridsearch, jackknife)")
     classify.add_argument("--model")
     classify.add_argument("--in", dest="input")
     classify.add_argument("--source-id")
     classify.add_argument("--out", required=True)
-    classify.add_argument("--word-min", type=int, default=1)
-    classify.add_argument("--word-max", type=int, default=2)
-    classify.add_argument("--char-min", type=int, default=1)
-    classify.add_argument("--char-max", type=int, default=5)
-    classify.add_argument("--feature-space", type=int, default=2**20)
-    classify.add_argument("--epochs", type=int, default=20)
-    classify.add_argument("--seed", type=int, default=0)
 
     train = sub.add_parser("train", help="train one (task x setting x seed) cell")
     train.add_argument("--config", required=True, help="experiment JSON")
@@ -90,8 +82,8 @@ def build_parser() -> ArgumentParser:
     experiment.add_argument("--config", required=True, help="experiment JSON")
     experiment.add_argument("--out", required=True)
 
-    pca = sub.add_parser("pca", help="project an exported embedding table to 2-D")
-    pca.add_argument("--table", required=True, help="TSV from a trained model")
+    pca = sub.add_parser("pca", help="project a trained model's source embeddings to 2-D")
+    pca.add_argument("--model", required=True, help="parser or tagger checkpoint")
     pca.add_argument("--out", required=True)
 
     synth = sub.add_parser("synth", help="generate the synthetic corpora")
@@ -101,17 +93,17 @@ def build_parser() -> ArgumentParser:
     return parser
 
 
-def _ngram_from_args(args) -> NGramConfig:
-    return NGramConfig(args.word_min, args.word_max, args.char_min, args.char_max,
-                       args.feature_space)
+def _classifier_pool(registry, config) -> list[str]:
+    """The members whose train splits the config's pred model fits on."""
+    setting = "zero_shot" if config.mode == "zero_shot" else "pred"
+    (entry,) = [e for e in cell_plan(registry.group(config.group_id), config, setting)
+                if e.setting == "pred"]
+    return entry.pool
 
 
-def _group_texts(registry, group_id, split="train"):
-    texts = []
-    for member in registry.group(group_id).members:
-        for sent in registry.split(member, split).sentences:
-            texts.append((sent.text, member))
-    return texts
+def _pool_texts(registry, pool, split):
+    return [(sent.text, member) for member in pool
+            for sent in registry.split(member, split).sentences]
 
 
 def cmd_convert(args) -> int:
@@ -125,42 +117,26 @@ def cmd_convert(args) -> int:
 
 
 def cmd_group(args) -> int:
-    registry = load_registry(args.config)
+    registry, config = load_experiment_file(args.config)
+    group = registry.group(config.group_id)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.pair:
-        group = pair_by_overlap(registry, args.pair)
+        pair = pair_by_overlap(registry, args.pair)
         (out_dir / "pairing.tsv").write_text(
-            "target\tpartner\n" + f"{group.members[0]}\t{group.members[1]}\n", encoding="utf-8"
+            "target\tpartner\n" + f"{pair.members[0]}\t{pair.members[1]}\n", encoding="utf-8"
         )
-        print(f"group: paired {group.members[0]} with {group.members[1]}")
-    if args.group_id:
-        reports = compute_filters(registry, registry.group(args.group_id), args.classifier_f1)
-        (out_dir / "filters.tsv").write_text(
-            to_tsv(FilterReport, [reports[sid] for sid in sorted(reports)]), encoding="utf-8"
-        )
-        print(f"group: filters for {len(reports)} sources")
-    if not args.pair and not args.group_id:
-        raise UsageError("group: pass --pair and/or --group-id")
+        print(f"group: paired {pair.members[0]} with {pair.members[1]}")
+    reports = compute_filters(registry, group, args.classifier_f1)
+    (out_dir / "filters.tsv").write_text(
+        to_tsv(FilterReport, [reports[sid] for sid in sorted(reports)]), encoding="utf-8"
+    )
+    print(f"group: filters for {len(reports)} sources")
     return 0
 
 
 def cmd_classify(args) -> int:
-    ngram = _ngram_from_args(args)
-    hyper = ClassifierHyper(epochs=args.epochs, seed=args.seed)
     out = Path(args.out)
-    if args.action in ("train", "gridsearch", "jackknife") and not (args.config and args.group_id):
-        raise UsageError(f"classify {args.action}: needs --config and --group-id")
-
-    if args.action == "train":
-        registry = load_registry(args.config)
-        texts = _group_texts(registry, args.group_id)
-        data = [(featurize(text, ngram), label) for text, label in texts]
-        model = train_linear(data, ngram, hyper)
-        save_model(out, model)
-        print(f"classify train: {len(model.class_ids)} classes, {len(data)} sentences")
-        return 0
-
     if args.action == "predict":
         if not (args.model and args.input and args.source_id):
             raise UsageError("classify predict: needs --model, --in, --source-id")
@@ -177,11 +153,23 @@ def cmd_classify(args) -> int:
         print(f"classify predict: {correct}/{len(treebank)} match the declared source")
         return 0
 
+    if not args.config:
+        raise UsageError(f"classify {args.action}: needs --config")
+    registry, config = load_experiment_file(args.config)
+    pool = _classifier_pool(registry, config)
+    ngram, hyper = config.ngram, config.classifier_hyper
+
+    if args.action == "train":
+        data = [(featurize(text, ngram), label) for text, label in _pool_texts(registry, pool, "train")]
+        model = train_linear(data, ngram, hyper)
+        save_model(out, model)
+        print(f"classify train: {len(model.class_ids)} classes, {len(data)} sentences")
+        return 0
+
     if args.action == "gridsearch":
-        registry = load_registry(args.config)
-        train_texts = _group_texts(registry, args.group_id, "train")
-        dev_texts = _group_texts(registry, args.group_id, "dev")
-        best, f1 = grid_search(train_texts, dev_texts, default_grid(args.feature_space), hyper)
+        train = _pool_texts(registry, pool, "train")
+        dev = _pool_texts(registry, pool, "dev")
+        best, f1 = grid_search(train, dev, default_grid(ngram.feature_space_size), hyper)
         out.write_text(
             "word_min\tword_max\tchar_min\tchar_max\tmacro_f1\n"
             f"{best.word_min}\t{best.word_max}\t{best.char_min}\t{best.char_max}\t"
@@ -192,16 +180,13 @@ def cmd_classify(args) -> int:
         return 0
 
     # jackknife
-    registry = load_registry(args.config)
-    group = registry.group(args.group_id)
-    banks = [registry.split(m, "train") for m in group.members]
-    result = jackknife_labels(banks, ngram, hyper)
-    gold = [tb.source_id for tb in banks for _ in tb.sentences]
+    result = jackknife_labels([registry.split(m, "train") for m in pool], ngram, hyper)
     lines = ["sentence_index\tgold\tpredicted\tfold"]
-    for index, (g, p, f) in enumerate(zip(gold, result.predictions, result.fold_of_sentence)):
+    for index, (g, p, f) in enumerate(zip(result.gold, result.predictions, result.fold_of_sentence)):
         lines.append(f"{index}\t{g}\t{p}\t{f}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"classify jackknife: k={result.k} macro_f1={macro_f1(gold, result.predictions):.4f}")
+    f1 = macro_f1(result.gold, result.predictions)
+    print(f"classify jackknife: k={result.k} macro_f1={f1:.4f}")
     return 0
 
 
@@ -229,27 +214,15 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    lines = Path(args.table).read_text(encoding="utf-8").rstrip().split("\n")
-    if len(lines) < 2:
-        raise DataError(f"{args.table}: the table has no data rows")
-    width = len(lines[0].split("\t"))
-    members, vectors = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        member, *cells = line.split("\t")
-        where = f"{args.table}: line {line_no}"
-        if len(cells) + 1 != width:
-            raise DataError(f"{where}: {len(cells) + 1} columns, the header has {width}")
-        try:
-            vector = [float(v) for v in cells]
-        except ValueError:
-            raise DataError(f"{where}: non-numeric cell in {line!r}") from None
-        if not np.all(np.isfinite(vector)):
-            raise DataError(f"{where}: non-finite value in {line!r}")
-        members.append(member)
-        vectors.append(vector)
-    coordinates, _, _ = pca_project(np.asarray(vectors))
-    Path(args.out).write_text(pca_tsv(members, coordinates), encoding="utf-8")
-    print(f"pca: projected {len(members)} sources")
+    kind = load_checkpoint(args.model)[0]
+    if kind not in NETWORKS:
+        raise DataError(f"{args.model}: expected a {' or '.join(NETWORKS)} checkpoint, got {kind!r}")
+    table = load_network(args.model, NETWORKS[kind]).encoder.source_table
+    if table is None:
+        raise DataError(f"{args.model}: the model has no source embedding table")
+    rows = pca_rows(*table.rows())
+    Path(args.out).write_text(to_tsv(PcaRow, rows), encoding="utf-8")
+    print(f"pca: projected {len(rows)} sources")
     return 0
 
 

@@ -2,8 +2,10 @@
 
 Carries a data-source identifier per sentence through the MISC column
 (key ``dataset``).  Multiword-token lines (id "i-j") and empty-node lines
-(id "i.j") are preserved verbatim in the sentence comments but excluded
-from the token list: all modeling here assumes gold tokenization.
+(id "i.j") are kept verbatim, with the number of words that precede them,
+and written back in place, but excluded from the token list: all modeling
+here assumes gold tokenization.  FORM is read literally, so a FORM of "_"
+is the underscore token; the other "_" columns mean "unspecified".
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class Token:
     def __post_init__(self):
         if self.id < 1:
             raise DataError(f"token id must be >= 1, got {self.id}")
+        if not self.form:
+            raise DataError(f"token {self.id}: empty form")
         if self.head is not None and self.head == self.id:
             raise DataError(f"token {self.id} heads itself")
         for entry in self.morph:
@@ -42,6 +46,8 @@ class Token:
 class Sentence:
     tokens: list[Token]
     comments: list[str] = field(default_factory=list)
+    # multiword-token and empty-node lines: (words before the line, the line)
+    unmodeled_lines: list[tuple[int, str]] = field(default_factory=list)
     source_id: str | None = None
     predicted_source_id: str | None = None
 
@@ -110,12 +116,13 @@ def parse_conllu(text: str, source_id: str | None = None, split: str = "train") 
     """
     sentences = []
     comments: list[str] = []
+    unmodeled: list[tuple[int, str]] = []
     tokens: list[Token] = []
     seen_ids: set[int] = set()
 
     def flush(line_no):
-        nonlocal comments, tokens, seen_ids
-        if not tokens and not comments:
+        nonlocal comments, unmodeled, tokens, seen_ids
+        if not tokens and not comments and not unmodeled:
             return
         misc_sources = {t.misc[SOURCE_MISC_KEY] for t in tokens if SOURCE_MISC_KEY in t.misc}
         if len(misc_sources) > 1:
@@ -125,13 +132,14 @@ def parse_conllu(text: str, source_id: str | None = None, split: str = "train") 
                 f"MISC dataset id {misc_sources.pop()!r} != declared source {source_id!r}", line_no
             )
         sentence_source = source_id or (misc_sources.pop() if misc_sources else None)
-        sent = Sentence(tokens=tokens, comments=comments, source_id=sentence_source)
+        sent = Sentence(tokens=tokens, comments=comments, unmodeled_lines=unmodeled,
+                        source_id=sentence_source)
         try:
             sent.validate()
         except DataError as exc:
             raise ConlluParseError(str(exc), line_no) from exc
         sentences.append(sent)
-        comments, tokens, seen_ids = [], [], set()
+        comments, unmodeled, tokens, seen_ids = [], [], [], set()
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -147,7 +155,7 @@ def parse_conllu(text: str, source_id: str | None = None, split: str = "train") 
         tid = cols[0]
         if "-" in tid or "." in tid:
             # multiword-token / empty-node line: keep verbatim, skip for modeling
-            comments.append(line)
+            unmodeled.append((len(tokens), line))
             continue
         try:
             token_id = int(tid)
@@ -179,7 +187,7 @@ def parse_conllu(text: str, source_id: str | None = None, split: str = "train") 
         try:
             tok = Token(
                 id=token_id,
-                form=_field(cols[1]),
+                form=cols[1],
                 lemma=_field(cols[2]),
                 upos=_field(cols[3]),
                 morph=morph,
@@ -211,7 +219,7 @@ def write_token(tok: Token, extra_misc: dict[str, str] | None = None) -> str:
     return "\t".join(
         [
             str(tok.id),
-            _unfield(tok.form),
+            tok.form,
             _unfield(tok.lemma),
             _unfield(tok.upos),
             _EMPTY,
@@ -230,9 +238,11 @@ def write_sentence(sent: Sentence, embed_source_in_misc: bool = False) -> str:
         if sent.source_id is None:
             raise DataError("cannot stamp MISC dataset id: sentence has no source_id")
         extra = {SOURCE_MISC_KEY: sent.source_id}
-    lines = list(sent.comments)
-    lines.extend(write_token(t, extra) for t in sent.tokens)
-    return "\n".join(lines)
+    body = [write_token(t, extra) for t in sent.tokens]
+    # from the last line back, so each insert leaves earlier positions valid
+    for words_before, line in reversed(sent.unmodeled_lines):
+        body.insert(words_before, line)
+    return "\n".join(sent.comments + body)
 
 
 def write_conllu(tb: Treebank, embed_source_in_misc: bool = False) -> str:

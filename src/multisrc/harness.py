@@ -39,7 +39,7 @@ from .metrics import AggregateRow, EvalResult, aggregate, las, lemma_accuracy, m
 from .nn import TrainerConfig
 from .nn.checkpoint import save_network
 from .parser_model import DependencyParser, ParserConfig, ParserHeader, train_parser
-from .pca import pca_project, pca_tsv
+from .pca import PcaRow, pca_rows
 from .registry import DatasetGroup, Registry, compute_filters
 from .schema import from_dict, to_tsv
 from .tagger import JointTagger, TaggerConfig, TaggerHeader, train_joint
@@ -191,11 +191,6 @@ def _with_predicted_ids(treebanks: list[Treebank], source_ids: list[str]) -> lis
     ]
 
 
-def _jackknife_f1(train_banks: list[Treebank], predictions: list[str]) -> float:
-    gold_labels = [tb.source_id for tb in train_banks for _ in tb.sentences]
-    return macro_f1(gold_labels, predictions)
-
-
 # -- one fit path and one predict path for every cell ----------------------------
 
 
@@ -212,7 +207,7 @@ def _fit(registry: Registry, config: ExperimentConfig, setting: str, members: li
     if setting == "pred":
         with registry.phase("classifier"):
             jackknife = jackknife_labels(train_banks, config.ngram, config.classifier_hyper)
-        jackknife_f1 = _jackknife_f1(train_banks, jackknife.predictions)
+        jackknife_f1 = macro_f1(jackknife.gold, jackknife.predictions)
         train_banks = _with_predicted_ids(train_banks, jackknife.predictions)
         classifier = jackknife.model
     sources = members if setting in ("gold", "pred") else []
@@ -343,7 +338,7 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
     group = registry.group(config.group_id)
     out_dir = Path(out_dir)
     all_rows: list[ResultRow] = []
-    pca_tables: dict[str, tuple[list[str], object]] = {}
+    pca_tables: dict[str, list[PcaRow]] = {}
     classifier_f1 = None  # stays None when no cell fits a classifier: no svm buckets
 
     settings = ["zero_shot"] if config.mode == "zero_shot" else config.settings
@@ -354,10 +349,9 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
             if outcome.classifier_f1 is not None:
                 classifier_f1 = outcome.classifier_f1
             if setting in ("gold", "pred") and seed == config.seeds[0]:
-                model = outcome.models.get("model")
-                table = getattr(getattr(model, "encoder", None), "source_table", None)
-                if table is not None and table.dim >= 2 and len(table.members) >= 2:
-                    pca_tables[setting] = table.rows()
+                table = outcome.models["model"].encoder.source_table
+                if table.dim >= 2 and len(table.members) >= 2:
+                    pca_tables[setting] = pca_rows(*table.rows())
 
     filter_reports = compute_filters(registry, group, classifier_f1)
     emit_reports(out_dir, all_rows, filter_reports)
@@ -365,12 +359,10 @@ def run_experiment(registry: Registry, config: ExperimentConfig, out_dir: str | 
     if pca_tables:
         pca_dir = out_dir / "pca"
         pca_dir.mkdir(parents=True, exist_ok=True)
-        for setting, (members, matrix) in sorted(pca_tables.items()):
-            coordinates, _, _ = pca_project(matrix)
+        for setting, rows in sorted(pca_tables.items()):
             suffix = "" if setting == "gold" else f"_{setting}"
-            (pca_dir / f"{group.group_id}{suffix}.tsv").write_text(
-                pca_tsv(members, coordinates), encoding="utf-8"
-            )
+            path = pca_dir / f"{group.group_id}{suffix}.tsv"
+            path.write_text(to_tsv(PcaRow, rows), encoding="utf-8")
     return all_rows
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DataError
@@ -34,9 +36,14 @@ def pca_project(matrix: np.ndarray, n_components: int = 2):
     return coordinates, components, values
 
 
-def pca_tsv(members: list[str], coordinates: np.ndarray) -> str:
-    """Deterministic TSV of the 2-D projection, one row per source."""
-    lines = ["source_id\tpc1\tpc2"]
-    for member, row in zip(members, coordinates):
-        lines.append(f"{member}\t{format(row[0], '.12g')}\t{format(row[1], '.12g')}")
-    return "\n".join(lines) + "\n"
+@dataclass
+class PcaRow:
+    source_id: str
+    pc1: float
+    pc2: float
+
+
+def pca_rows(members: list[str], matrix: np.ndarray) -> list[PcaRow]:
+    """One row per source: its 2-D projection of the embedding table `matrix`."""
+    coordinates, _, _ = pca_project(matrix)
+    return [PcaRow(member, float(row[0]), float(row[1])) for member, row in zip(members, coordinates)]

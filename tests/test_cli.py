@@ -1,14 +1,21 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from multisrc.classifier import ClassifierHyper, NGramConfig, featurize, save_model, train_linear
-from multisrc.cli import main
+from multisrc.cli import build_parser, main
 from multisrc.conllu import parse_conllu
-from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
+from multisrc.encoder import EncoderConfig
+from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint, save_network
+from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader
 from multisrc.synth import ambiguity_corpus, mixture_corpus, write_corpus
+from multisrc.trees import DependencyTree
+
+from .helpers import sentence_from_words
 
 TWO_TOKEN = (
     "1\tcats\tcat\tNOUN\t_\tNumber=Plur\t2\tnsubj\t_\t_\n"
@@ -20,6 +27,12 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def experiment_json(**fields):
+    # json.dumps writes a NaN float as the NaN literal, which json.loads accepts
+    return json.dumps({"registry": "data/registry.json", "task": "parse", "group_id": "amb",
+                       **fields}).encode()
 
 
 def test_unknown_verb_is_usage_error(capsys):
@@ -101,10 +114,12 @@ def test_synth_same_seed_byte_identical(tmp_path, capsys):
 
 def test_group_pairing_and_filters(tmp_path, capsys):
     write_corpus(ambiguity_corpus(seed=3), tmp_path / "data", group_id="amb")
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json())
     out = tmp_path / "groups"
     code, stdout, _ = run(
-        ["group", "--config", str(tmp_path / "data" / "registry.json"), "--out", str(out),
-         "--pair", "dialect_a", "--group-id", "amb", "--classifier-f1", "0.99"],
+        ["group", "--config", str(exp), "--out", str(out),
+         "--pair", "dialect_a", "--classifier-f1", "0.99"],
         capsys,
     )
     assert code == 0
@@ -116,11 +131,12 @@ def test_group_pairing_and_filters(tmp_path, capsys):
 
 def test_group_without_classifier_f1_writes_no_svm_verdict(tmp_path, capsys):
     write_corpus(ambiguity_corpus(seed=3), tmp_path / "data", group_id="amb")
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json())
     verdicts = {}
     for flag in ([], ["--classifier-f1", "0.99"]):
         out = tmp_path / f"groups{len(flag)}"
-        code, _, _ = run(["group", "--config", str(tmp_path / "data" / "registry.json"),
-                          "--out", str(out), "--group-id", "amb", *flag], capsys)
+        code, _, _ = run(["group", "--config", str(exp), "--out", str(out), *flag], capsys)
         assert code == 0
         header, *rows = (out / "filters.tsv").read_text().splitlines()
         column = header.split("\t").index("svm_above_95")
@@ -131,13 +147,11 @@ def test_group_without_classifier_f1_writes_no_svm_verdict(tmp_path, capsys):
 def test_classify_train_predict_jackknife(tmp_path, capsys):
     data_dir = tmp_path / "data"
     write_corpus(ambiguity_corpus(seed=5), data_dir, group_id="amb")
-    registry = str(data_dir / "registry.json")
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json(ngram={"feature_space_size": 4096},
+                                    classifier_hyper={"epochs": 6}))
     model_path = tmp_path / "clf.npz"
-    code, _, _ = run(
-        ["classify", "train", "--config", registry, "--group-id", "amb",
-         "--out", str(model_path), "--feature-space", "4096", "--epochs", "6"],
-        capsys,
-    )
+    code, _, _ = run(["classify", "train", "--config", str(exp), "--out", str(model_path)], capsys)
     assert code == 0 and model_path.exists()
 
     preds = tmp_path / "preds.tsv"
@@ -153,11 +167,7 @@ def test_classify_train_predict_jackknife(tmp_path, capsys):
     assert set(header[3:]) == {"dialect_a", "dialect_b"}
 
     jk = tmp_path / "jk.tsv"
-    code, stdout, _ = run(
-        ["classify", "jackknife", "--config", registry, "--group-id", "amb",
-         "--out", str(jk), "--feature-space", "4096", "--epochs", "6"],
-        capsys,
-    )
+    code, stdout, _ = run(["classify", "jackknife", "--config", str(exp), "--out", str(jk)], capsys)
     assert code == 0
     assert "k=5" in stdout
 
@@ -169,13 +179,12 @@ def test_classify_gridsearch(tmp_path, capsys):
                          n_conflict_dev=2, n_shared_dev=2),
         data_dir, group_id="amb",
     )
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json(ngram={"feature_space_size": 4096},
+                                    classifier_hyper={"epochs": 3}))
     grid_out = tmp_path / "grid.tsv"
-    code, stdout, _ = run(
-        ["classify", "gridsearch", "--config", str(data_dir / "registry.json"),
-         "--group-id", "amb", "--out", str(grid_out),
-         "--feature-space", "4096", "--epochs", "3"],
-        capsys,
-    )
+    code, stdout, _ = run(["classify", "gridsearch", "--config", str(exp), "--out", str(grid_out)],
+                          capsys)
     assert code == 0
     header, row = grid_out.read_text().strip().split("\n")
     assert header.split("\t") == ["word_min", "word_max", "char_min", "char_max", "macro_f1"]
@@ -245,10 +254,18 @@ def test_unknown_group_is_one_line_data_error(tmp_path, capsys, verb):
     write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
                                   n_conflict_dev=1, n_shared_dev=1),
                  tmp_path / "data", group_id="amb")
-    code, _, err = run(verb + ["--config", str(tmp_path / "data" / "registry.json"),
-                               "--group-id", "nope", "--out", str(tmp_path / "out")], capsys)
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json(group_id="nope"))
+    code, _, err = run(verb + ["--config", str(exp), "--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err == "error: DataError: unknown group 'nope'\n"
+
+
+def test_classify_without_config_is_one_line_usage_error(tmp_path, capsys):
+    for action in ("train", "gridsearch", "jackknife"):
+        code, _, err = run(["classify", action, "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err == f"error: UsageError: classify {action}: needs --config\n"
 
 
 NOT_UTF8 = b"\xff\xfe# not UTF-8\n"
@@ -264,14 +281,8 @@ def _npy_and_npz_bytes():
 NPY_BYTES, NPZ_BYTES = _npy_and_npz_bytes()
 CLASSIFY_PREDICT = ["classify", "predict", "--model", "{model}", "--in",
                     "{data}/dialect_a-dev.conllu", "--source-id", "dialect_a"]
-PCA = ["pca", "--table", "{table}"]
+PCA = ["pca", "--model", "{model}"]
 EXPERIMENT = ["experiment", "--config", "{exp}"]
-
-
-def experiment_json(**fields):
-    # json.dumps writes a NaN float as the NaN literal, which json.loads accepts
-    return json.dumps({"registry": "data/registry.json", "task": "parse", "group_id": "amb",
-                       **fields}).encode()
 
 
 @pytest.mark.parametrize(
@@ -281,29 +292,22 @@ def experiment_json(**fields):
          "bad experiment config"),
         ("exp.json", NOT_UTF8, ["train", "--config", "{exp}", "--setting", "concat"],
          "not UTF-8"),
-        ("data/registry.json", NOT_UTF8, ["group", "--config", "{registry}"], "not UTF-8"),
-        ("data/dialect_a-train.conllu", NOT_UTF8, ["group", "--config", "{registry}"],
-         "not UTF-8"),
+        ("data/registry.json", NOT_UTF8, ["group", "--config", "{exp}"], "not UTF-8"),
+        ("data/dialect_a-train.conllu", NOT_UTF8, ["group", "--config", "{exp}"], "not UTF-8"),
         ("data/dialect_a-dev.conllu", NOT_UTF8,
          ["eval", "--gold", "{data}/dialect_a-dev.conllu", "--pred", "{data}/dialect_b-dev.conllu",
           "--metric", "las"], "not UTF-8"),
-        ("data/registry.json", b'{"sources": [{"language": "syn"}]}', ["group", "--config", "{registry}"],
+        ("data/registry.json", b'{"sources": [{"language": "syn"}]}', ["group", "--config", "{exp}"],
          "sources[0] lacks required key 'id'"),
-        ("data/registry.json", b"[]", ["group", "--config", "{registry}"], "must be a JSON object"),
+        ("data/registry.json", b"[]", ["group", "--config", "{exp}"], "must be a JSON object"),
         ("data/registry.json",
          b'{"sources": [{"id": "a", "language": "syn"}, {"id": "b", "language": "syn"}],'
          b' "groups": [{"id": "g", "members": "ab"}]}',
-         ["group", "--config", "{registry}"], "groups[0].members must be list, got 'ab'"),
+         ["group", "--config", "{exp}"], "groups[0].members must be list, got 'ab'"),
         ("model.npz", b"hello", CLASSIFY_PREDICT, "not an .npz archive"),
         ("model.npz", NPY_BYTES, CLASSIFY_PREDICT, "not an .npz archive"),
         ("model.npz", NPZ_BYTES[: len(NPZ_BYTES) // 2], CLASSIFY_PREDICT, "not an .npz archive"),
-        ("table.tsv", b"source_id\tdim_0\tdim_1\na\t1.0\t2.0\nb\t0.5\tx\n", PCA,
-         "table.tsv: line 3: non-numeric cell"),
-        ("table.tsv", b"source_id\tdim_0\tdim_1\na\t1.0\t2.0\nb\t0.5\n", PCA,
-         "table.tsv: line 3: 2 columns, the header has 3"),
-        ("table.tsv", b"source_id\tdim_0\tdim_1\na\tnan\t2.0\nb\t0.5\t1.0\n", PCA,
-         "table.tsv: line 2: non-finite value"),
-        ("table.tsv", b"source_id\tdim_0\tdim_1\n", PCA, "table.tsv: the table has no data rows"),
+        ("model.npz", b"hello", PCA, "not an .npz archive"),
         ("exp.json", experiment_json(trainer={"beta1": 0.8}), EXPERIMENT,
          "experiment config: unknown key 'beta1' in trainer"),
         ("exp.json", experiment_json(trainer={"explore_probability": 0.0}), EXPERIMENT,
@@ -338,8 +342,8 @@ def experiment_json(**fields):
     ],
     ids=["train-bad-json", "train-experiment", "group-registry", "group-conllu", "eval-conllu",
          "group-source-without-id", "group-registry-list", "group-members-string",
-         "model-text-file", "model-npy-array", "model-truncated-zip", "pca-non-numeric",
-         "pca-ragged-row", "pca-non-finite", "pca-header-only", "exp-beta1", "exp-explore",
+         "model-text-file", "model-npy-array", "model-truncated-zip", "pca-text-file",
+         "exp-beta1", "exp-explore",
          "exp-trainer-seed", "exp-nan-lr", "exp-epochs-neg", "exp-seeds-twice",
          "exp-settings-twice", "exp-no-seeds", "exp-hidden-dim-0", "exp-word-dim-neg",
          "exp-source-dim-0", "exp-char-dim-odd", "exp-scorer-hidden-0", "exp-attention-0",
@@ -347,15 +351,13 @@ def experiment_json(**fields):
 )
 def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file, content, argv,
                                                      message):
-    registry = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
-                                             n_conflict_dev=1, n_shared_dev=1),
-                            tmp_path / "data", group_id="amb")
+    write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                  n_conflict_dev=1, n_shared_dev=1),
+                 tmp_path / "data", group_id="amb")
     exp = tmp_path / "exp.json"
-    exp.write_text(json.dumps({"registry": "data/registry.json", "task": "parse",
-                               "group_id": "amb"}))
+    exp.write_bytes(experiment_json())
     (tmp_path / bad_file).write_bytes(content)
-    paths = {"exp": exp, "registry": registry, "data": tmp_path / "data",
-             "model": tmp_path / "model.npz", "table": tmp_path / "table.tsv"}
+    paths = {"exp": exp, "data": tmp_path / "data", "model": tmp_path / "model.npz"}
     argv = [arg.format(**paths) for arg in argv]
     if argv[0] != "eval":
         argv += ["--out", str(tmp_path / "out")]
@@ -365,17 +367,19 @@ def test_malformed_input_file_is_one_line_data_error(tmp_path, capsys, bad_file,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["train", "--config", "{exp}", "--setting", "concat"],
-                                  ["classify", "train", "--config", "{registry}", "--group-id", "amb"]],
-                         ids=["train", "classify-train"])
-def test_negative_seed_flag_is_one_line_data_error(tmp_path, capsys, argv):
-    registry = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
-                                             n_conflict_dev=1, n_shared_dev=1),
-                            tmp_path / "data", group_id="amb")
+@pytest.mark.parametrize("argv, fields", [
+    (["train", "--config", "{exp}", "--setting", "concat", "--seed", "-1"], {}),
+    (["classify", "train", "--config", "{exp}"], {"classifier_hyper": {"seed": -1}}),
+], ids=["train", "classify-train"])
+def test_negative_seed_flag_is_one_line_data_error(tmp_path, capsys, argv, fields):
+    # classify takes its seed from the experiment's classifier_hyper
+    write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                  n_conflict_dev=1, n_shared_dev=1),
+                 tmp_path / "data", group_id="amb")
     exp = tmp_path / "exp.json"
-    exp.write_bytes(experiment_json())
-    argv = [arg.format(exp=exp, registry=registry) for arg in argv]
-    code, _, err = run([*argv, "--seed", "-1", "--out", str(tmp_path / "out")], capsys)
+    exp.write_bytes(experiment_json(**fields))
+    argv = [arg.format(exp=exp) for arg in argv]
+    code, _, err = run([*argv, "--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err == "error: DataError: seed must be >= 0, got -1\n"
 
@@ -422,17 +426,110 @@ def test_classify_predict_on_a_malformed_checkpoint_is_data_error(tmp_path, caps
     assert err.count("\n") == 1
 
 
-def test_pca_verb(tmp_path, capsys):
-    table = tmp_path / "table.tsv"
-    table.write_text(
-        "source_id\tdim_0\tdim_1\tdim_2\n"
-        "a\t1.0\t0.0\t2.0\n"
-        "b\t-1.0\t1.0\t0.0\n"
-        "c\t0.5\t-0.5\t1.0\n"
-    )
-    out = tmp_path / "coords.tsv"
-    code, stdout, _ = run(["pca", "--table", str(table), "--out", str(out)], capsys)
+TINY_PARSE = {
+    "seeds": [0],
+    "trainer": {"learning_rate": 0.02, "epochs": 1},
+    "encoder": {"word_dim": 6, "char_dim": 4, "char_emb_dim": 4, "source_dim": 3,
+                "hidden_dim": 4},
+    "scorer_hidden": 8,
+    "ngram": {"word_min": 1, "word_max": 1, "char_min": 1, "char_max": 2,
+              "feature_space_size": 4096},
+    "classifier_hyper": {"epochs": 4, "seed": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def experiments(tmp_path_factory):
+    """An in-dataset (concat, gold, pred) and a zero-shot parser experiment,
+    each run by `multisrc experiment`: {mode: (config path, output dir)}."""
+    root = tmp_path_factory.mktemp("experiments")
+    write_corpus(ambiguity_corpus(seed=2, n_conflict_train=4, n_shared_train=4,
+                                  n_conflict_dev=2, n_shared_dev=2),
+                 root / "data", group_id="amb")
+    write_corpus(mixture_corpus(seed=4, n_train=6, n_dev=3, n_held_dev=4), root / "mixdata",
+                 group_id="mix")
+    configs = {
+        "in_dataset": experiment_json(**TINY_PARSE, settings=["concat", "gold", "pred"]),
+        "zero_shot": json.dumps({
+            **TINY_PARSE, "registry": "mixdata/registry.json", "task": "parse", "group_id": "mix",
+            "mode": "zero_shot", "held_out_source": "style_mix",
+            "classifier_hyper": {"epochs": 4, "seed": 0, "learning_rate": 0.05},
+        }).encode(),
+    }
+    runs = {}
+    for mode, config in configs.items():
+        (root / f"{mode}.json").write_bytes(config)
+        assert main(["experiment", "--config", str(root / f"{mode}.json"),
+                     "--out", str(root / mode)]) == 0
+        runs[mode] = (root / f"{mode}.json", root / mode)
+    return runs
+
+
+@pytest.mark.parametrize("mode, cell", [("in_dataset", "amb/pred/0"), ("zero_shot", "mix/zero_shot/0")])
+def test_classify_train_writes_the_cells_classifier(experiments, tmp_path, capsys, mode, cell):
+    # the zero-shot classifier leaves the held-out source out and uses a
+    # non-default learning rate: both come from the config
+    config, out = experiments[mode]
+    model_path = tmp_path / "clf.npz"
+    code, _, _ = run(["classify", "train", "--config", str(config), "--out", str(model_path)],
+                     capsys)
     assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "source_id\tpc1\tpc2"
-    assert len(lines) == 4
+    written = out / "runs" / cell / "checkpoint_classifier.npz"
+    assert model_path.read_bytes() == written.read_bytes()
+
+
+def test_pca_verb(experiments, tmp_path, capsys):
+    # pca on a cell's checkpoint writes the experiment's own projection
+    _, out = experiments["in_dataset"]
+    for setting, table in (("gold", "amb.tsv"), ("pred", "amb_pred.tsv")):
+        coords = tmp_path / table
+        code, stdout, _ = run(["pca", "--model", str(out / "runs" / "amb" / setting / "0" /
+                                                     "checkpoint_model.npz"),
+                               "--out", str(coords)], capsys)
+        assert code == 0 and stdout == "pca: projected 2 sources\n"
+        assert coords.read_bytes() == (out / "pca" / table).read_bytes()
+        assert coords.read_text().splitlines()[0] == "source_id\tpc1\tpc2"
+
+
+def one_dim_gold_checkpoint(path):
+    """An untrained gold parser whose source table has one dimension."""
+    data = [(sentence_from_words(["a", "b"]), DependencyTree(heads=[2, 0]))]
+    config = ParserConfig(encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4,
+                                                source_dim=1, hidden_dim=4), scorer_hidden=4)
+    save_network(path, DependencyParser(config, ParserHeader.build(data, ["s1", "s2"], 0)))
+
+
+@pytest.mark.parametrize("checkpoint, message", [
+    ("runs/amb/pred/0/checkpoint_classifier.npz",
+     "expected a dep_parser or joint_tagger checkpoint, got 'source_classifier'"),
+    ("runs/amb/concat/0/checkpoint_model.npz", "the model has no source embedding table"),
+    ("one_dim.npz", "PCA needs dimension >= 2, got 1"),
+], ids=["classifier", "concat", "one-dimension"])
+def test_pca_without_a_projectable_source_table_is_one_line_data_error(experiments, tmp_path, capsys,
+                                                                      checkpoint, message):
+    _, out = experiments["in_dataset"]
+    path = out / checkpoint
+    if checkpoint == "one_dim.npz":
+        path = tmp_path / checkpoint
+        one_dim_gold_checkpoint(path)
+    code, _, err = run(["pca", "--model", str(path), "--out", str(tmp_path / "coords.tsv")], capsys)
+    assert code == 2
+    assert err.startswith("error: DataError: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "coords.tsv").exists()
+
+
+def readme_cli_examples():
+    """Every `multisrc …` command in the README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("multisrc ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
+    verbs = {argv[0] for argv in examples}
+    assert {"group", "classify", "train", "experiment", "pca"} <= verbs
+    for argv in examples:
+        build_parser().parse_args(argv)  # a stale flag raises UsageError

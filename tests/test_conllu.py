@@ -3,7 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisrc.conllu import Sentence, Token, Treebank, parse_conllu, write_conllu
+from multisrc.encoder import EncoderConfig
 from multisrc.errors import ConlluParseError, DataError
+from multisrc.harness import ExperimentConfig, compute_cell
+from multisrc.nn import TrainerConfig
+from multisrc.registry import load_registry
+from multisrc.synth import ambiguity_corpus, write_corpus
 
 TWO_TOKEN = (
     "1\tcats\tcat\tNOUN\t_\tNumber=Plur\t2\tnsubj\t_\t_\n"
@@ -68,11 +73,57 @@ def test_multiword_and_empty_node_lines_preserved_not_modeled():
     tb = parse_conllu(text, "fr_x")
     sent = tb.sentences[0]
     assert [t.form for t in sent.tokens] == ["de", "le"]
-    assert any(line.startswith("1-2\t") for line in sent.comments)
-    assert any(line.startswith("2.1\t") for line in sent.comments)
+    assert sent.comments == ["# sent_id = 1"]
+    assert [(before, line.split("\t")[0]) for before, line in sent.unmodeled_lines] == [
+        (0, "1-2"), (2, "2.1")]
     # round-trip keeps the preserved lines and the token fields
     again = parse_conllu(write_conllu(tb), "fr_x")
     assert [t.form for t in again.sentences[0].tokens] == ["de", "le"]
+
+
+def test_multiword_and_empty_node_lines_are_written_where_they_were_read():
+    text = (
+        "# sent_id = 2\n"
+        "# text = a bcd\n"
+        "1\ta\ta\tDET\t_\t_\t2\tdet\t_\t_\n"
+        "2\tb\tb\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        "3-4\tcd\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "3\tc\tc\tADP\t_\t_\t2\tcase\t_\t_\n"
+        "4\td\td\tDET\t_\t_\t2\tdet\t_\t_\n"
+        "4.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+        "1\tz\tz\tX\t_\t_\t0\troot\t_\t_\n\n"
+    )
+    tb = parse_conllu(text, "x")
+    assert [len(s) for s in tb.sentences] == [4, 1]
+    assert write_conllu(tb) == text
+
+
+def test_underscore_form_is_a_token_and_an_empty_form_is_refused():
+    text = "1\tstop\tstop\tVERB\t_\t_\t0\troot\t_\t_\n2\t_\t_\tPUNCT\t_\t_\t1\tpunct\t_\t_\n\n"
+    token = parse_conllu(text, "x").sentences[0].tokens[1]
+    assert (token.form, token.lemma, token.upos) == ("_", "", "PUNCT")
+    assert write_conllu(parse_conllu(text, "x")) == text
+    with pytest.raises(ConlluParseError, match=r"^line 2: token 2: empty form$"):
+        parse_conllu(text.replace("2\t_\t_", "2\t\t_"), "x")
+
+
+def test_a_parser_cell_trains_on_an_underscore_form(tmp_path):
+    registry_path = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                                  n_conflict_dev=1, n_shared_dev=1),
+                                 tmp_path, group_id="amb")
+    train = tmp_path / "dialect_a-train.conllu"
+    train.write_text(train.read_text(encoding="utf-8") + "1\tstop\tstop\tVERB\t_\t_\t0\troot\t_\t_\n"
+                     "2\t_\t_\tPUNCT\t_\t_\t1\tpunct\t_\t_\n\n", encoding="utf-8")
+    registry = load_registry(registry_path)
+    config = ExperimentConfig(
+        task="parse", group_id="amb", settings=["concat"], seeds=[0],
+        trainer=TrainerConfig(learning_rate=0.02, epochs=1),
+        encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4, source_dim=2, hidden_dim=4),
+        scorer_hidden=4,
+    )
+    outcome = compute_cell(registry, registry.group("amb"), config, "concat", 0)
+    assert "_" in outcome.models["model"].encoder.vocab.words
+    assert {row.metric for row in outcome.rows} == {"las"}
 
 
 def test_misc_dataset_conflict_raises():
@@ -134,6 +185,8 @@ def test_token_invariants():
         Token(id=1, form="a", head=1)
     with pytest.raises(DataError):
         Token(id=1, form="a", morph={"NoEquals"})
+    with pytest.raises(DataError, match="empty form"):  # it would write an unreadable FORM column
+        Token(id=1, form="")
 
 
 # --- randomized round-trip property ------------------------------------
@@ -170,7 +223,7 @@ def sentences(draw):
         tokens.append(
             Token(
                 id=i,
-                form=draw(_form),
+                form=draw(_form | st.just("_")),
                 lemma=draw(_form),
                 upos=draw(st.sampled_from(["NOUN", "VERB", "DET", ""])),
                 morph=set(draw(st.lists(_feat, max_size=3))),

@@ -136,16 +136,6 @@ def test_gradients_flow_only_into_used_source_row():
     assert np.array_equal(table.data[1], before[1])
 
 
-def export_table_tsv(encoder):
-    """TSV of the source-embedding table (header + one row per source)."""
-    members, matrix = encoder.source_table.rows()
-    header = "source_id\t" + "\t".join(f"dim_{i}" for i in range(matrix.shape[1]))
-    lines = [header]
-    for member, row in zip(members, matrix):
-        lines.append(member + "\t" + "\t".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def test_table_lookup_validation_and_export():
     params = ParamSet(np.random.default_rng(0))
     table = DatasetEmbeddingTable(params, ["s1", "s2"], 4)
@@ -153,13 +143,11 @@ def test_table_lookup_validation_and_export():
         table.lookup("s3")
     with pytest.raises(DataError):
         DatasetEmbeddingTable(ParamSet(np.random.default_rng(0)), ["x", "x"], 4)
+    # rows() is the export that the PCA tables read
     encoder, _, _ = build()
-    tsv = export_table_tsv(encoder)
-    lines = tsv.strip().split("\n")
-    assert lines[0].split("\t") == ["source_id", "dim_0", "dim_1", "dim_2"]
-    assert len(lines) == 3
-    parsed = np.array([[float(v) for v in line.split("\t")[1:]] for line in lines[1:]])
-    assert np.array_equal(parsed, encoder.source_table.emb.table.data)
+    members, matrix = encoder.source_table.rows()
+    assert members == encoder.members and matrix.shape == (2, 3)
+    assert np.array_equal(matrix, encoder.source_table.emb.table.data)
 
 
 def test_vocabulary_meta_roundtrip():

@@ -118,7 +118,6 @@ def test_every_public_tensor_function_has_a_caller_in_src():
 # public names that src/ defines for callers outside it; a method is named
 # Class.method
 CALLED_FROM_OUTSIDE_SRC = {
-    "load_network": "the public checkpoint API; round-trip tests cover it",
     "lookalike_of": "ground truth of the synthetic corpora, read by their tests",
     "conflict_sentence_indices": "ground truth of the synthetic corpora, read by their tests",
     "ArgumentParser.error": "an argparse override: argparse calls it on a bad command line",

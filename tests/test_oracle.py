@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisrc.oracle import DynamicOracle
 from multisrc.transitions import (
@@ -238,3 +240,23 @@ def test_prescribed_swap_zero_all_others_forced_positive():
         oracle.advance(state, kind)
         state = apply_transition(state, make_transition(kind, label))
     assert prescribed_seen
+
+
+@given(n=st.integers(min_value=1, max_value=40), projective=st.booleans(),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_costs_telescope_along_random_allowed_trajectories(n, projective, rng):
+    # any policy that picks among the allowed kinds pays, in summed costs,
+    # exactly the head errors of the tree it ends with
+    gold = random_projective_tree(n, rng) if projective else random_tree(n, rng)
+    state = ParserState.initial(n)
+    oracle = DynamicOracle(gold)
+    total = 0
+    while not state.is_terminal():
+        kind = rng.choice(oracle.allowed(state))
+        total += oracle.costs(state)[kind]
+        label = gold.deprel_of(state.stack[-1]) if kind in (LEFT_ARC, RIGHT_ARC) else None
+        oracle.advance(state, kind)
+        state = apply_transition(state, make_transition(kind, label))
+    tree = state.to_tree()
+    assert total == sum(tree.head_of(d) != gold.head_of(d) for d in range(1, n + 1))

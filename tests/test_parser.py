@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisrc.conllu import Treebank
 from multisrc.encoder import MODE_NONE, EncoderConfig
@@ -89,6 +91,20 @@ def test_untrained_parse_always_valid_tree():
                                    deprels=["root"] + ["dep"] * (n - 1))
         tree = model.parse_sentence(sent, MODE_NONE)
         assert len(tree) == n  # DependencyTree validates structure on build
+
+
+TINY = EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4, source_dim=2, hidden_dim=4)
+_form = st.sampled_from(["the", "cat", "dog"]) | st.text(alphabet="abxyz_", min_size=1, max_size=6)
+
+
+@given(words=st.lists(_form, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_untrained_parse_is_a_tree_on_sentences_up_to_40_tokens(words):
+    # greedy decoding is total at any length, whatever the untrained scores
+    model = build_model(toy_corpus(), cfg=TINY)
+    tree = model.parse_sentence(sentence_from_words(words), MODE_NONE)
+    assert len(tree) == len(words) and set(tree.deprels) <= set(model.labels)
+    DependencyTree(heads=list(tree.heads), deprels=list(tree.deprels))  # validates
 
 
 def test_overfit_toy_corpus_reaches_perfect_las():

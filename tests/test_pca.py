@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from multisrc.errors import DataError
-from multisrc.pca import pca_project, pca_tsv
+from multisrc.pca import PcaRow, pca_project, pca_rows
+from multisrc.schema import to_tsv
 
 
 def jacobi_eigh(matrix, sweeps=100, tol=1e-14):
@@ -108,8 +109,11 @@ def test_input_validation():
 def test_tsv_rendering_deterministic():
     matrix = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]])
     coords, _, _ = pca_project(matrix)
-    out1 = pca_tsv(["a", "b", "c"], coords)
-    out2 = pca_tsv(["a", "b", "c"], coords)
-    assert out1 == out2
+    rows = pca_rows(["a", "b", "c"], matrix)
+    assert [(r.source_id, r.pc1, r.pc2) for r in rows] == [
+        (m, float(c[0]), float(c[1])) for m, c in zip("abc", coords)]
+    out1 = to_tsv(PcaRow, rows)
+    assert out1 == to_tsv(PcaRow, pca_rows(["a", "b", "c"], matrix))
     assert out1.startswith("source_id\tpc1\tpc2\n")
+    assert out1.splitlines()[1] == f"a\t{coords[0, 0]:.12g}\t{coords[0, 1]:.12g}"
     assert len(out1.strip().split("\n")) == 4
