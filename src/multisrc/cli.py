@@ -24,7 +24,8 @@ from .classifier import (
 )
 from .conllu import parse_conllu, write_conllu
 from .errors import DataError, MultisrcError, UsageError
-from .harness import SETTINGS, cell_plan, load_experiment_file, run_cell, run_experiment
+from .harness import (SETTINGS, cell_plan, eval_split, load_experiment_file, run_cell,
+                      run_experiment)
 from .metrics import METRIC_FUNCTIONS
 from .nn.checkpoint import load_checkpoint, load_network
 from .parser_model import DependencyParser
@@ -101,9 +102,8 @@ def _classifier_pool(registry, config) -> list[str]:
     return entry.pool
 
 
-def _pool_texts(registry, pool, split):
-    return [(sent.text, member) for member in pool
-            for sent in registry.split(member, split).sentences]
+def _pool_texts(pool, treebanks):
+    return [(sent.text, member) for member, tb in zip(pool, treebanks) for sent in tb.sentences]
 
 
 def cmd_convert(args) -> int:
@@ -157,18 +157,20 @@ def cmd_classify(args) -> int:
         raise UsageError(f"classify {args.action}: needs --config")
     registry, config = load_experiment_file(args.config)
     pool = _classifier_pool(registry, config)
+    train_banks = [registry.split(m, "train") for m in pool]
     ngram, hyper = config.ngram, config.classifier_hyper
 
     if args.action == "train":
-        data = [(featurize(text, ngram), label) for text, label in _pool_texts(registry, pool, "train")]
+        data = [(featurize(text, ngram), label) for text, label in _pool_texts(pool, train_banks)]
         model = train_linear(data, ngram, hyper)
         save_model(out, model)
         print(f"classify train: {len(model.class_ids)} classes, {len(data)} sentences")
         return 0
 
     if args.action == "gridsearch":
-        train = _pool_texts(registry, pool, "train")
-        dev = _pool_texts(registry, pool, "dev")
+        train = _pool_texts(pool, train_banks)
+        # each member is scored on the split its cells score: dev, else test
+        dev = _pool_texts(pool, [eval_split(registry, m) for m in pool])
         best, f1 = grid_search(train, dev, default_grid(ngram.feature_space_size), hyper)
         out.write_text(
             "word_min\tword_max\tchar_min\tchar_max\tmacro_f1\n"
@@ -180,7 +182,7 @@ def cmd_classify(args) -> int:
         return 0
 
     # jackknife
-    result = jackknife_labels([registry.split(m, "train") for m in pool], ngram, hyper)
+    result = jackknife_labels(train_banks, ngram, hyper)
     lines = ["sentence_index\tgold\tpredicted\tfold"]
     for index, (g, p, f) in enumerate(zip(result.gold, result.predictions, result.fold_of_sentence)):
         lines.append(f"{index}\t{g}\t{p}\t{f}")

@@ -10,7 +10,7 @@ is the underscore token; the other "_" columns mean "unspecified".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConlluParseError, DataError
 
@@ -82,13 +82,15 @@ class Treebank:
     sentences: list[Sentence] = field(default_factory=list)
 
     def __post_init__(self):
+        """A sentence without a source joins as a copy that carries this one;
+        the caller's sentence is left as it was."""
         for sent in self.sentences:
-            if sent.source_id is None:
-                sent.source_id = self.source_id
-            elif sent.source_id != self.source_id:
+            if sent.source_id not in (None, self.source_id):
                 raise DataError(
                     f"sentence source {sent.source_id!r} != treebank source {self.source_id!r}"
                 )
+        self.sentences = [s if s.source_id is not None else replace(s, source_id=self.source_id)
+                          for s in self.sentences]
 
     def __len__(self):
         return len(self.sentences)

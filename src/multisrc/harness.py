@@ -43,7 +43,6 @@ from .pca import PcaRow, pca_rows
 from .registry import DatasetGroup, Registry, compute_filters
 from .schema import from_dict, to_tsv
 from .tagger import JointTagger, TaggerConfig, TaggerHeader, train_joint
-from .trees import DependencyTree
 
 SETTINGS = ("base", "concat", "gold", "pred")
 TASKS = ("parse", "tag_lemma")
@@ -161,10 +160,9 @@ def eval_split(registry: Registry, source_id: str) -> Treebank:
 
 def _train_model(config: ExperimentConfig, treebanks, members, encoder_mode, trainer):
     if config.task == "parse":
-        data = [(sent, DependencyTree.from_sentence(sent)) for tb in treebanks for sent in tb.sentences]
         parser_config = ParserConfig(encoder=config.encoder, scorer_hidden=config.scorer_hidden)
-        model = DependencyParser(parser_config, ParserHeader.build(data, members, trainer.seed))
-        train_parser(model, data, encoder_mode, trainer)
+        model = DependencyParser(parser_config, ParserHeader.build(treebanks, members, trainer.seed))
+        train_parser(model, treebanks, encoder_mode, trainer)
     else:
         model = JointTagger(config.tagger, TaggerHeader.build(treebanks, members, trainer.seed))
         train_joint(model, treebanks, encoder_mode, trainer)

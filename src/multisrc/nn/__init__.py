@@ -1,7 +1,7 @@
 from . import tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .layers import LSTM, AdditiveAttention, Affine, BiLSTM, Embedding, ParamSet
-from .optim import Optimizer, TrainerConfig
+from .optim import Optimizer, TrainerConfig, fit
 from .tensor import Parameter, Tensor
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "AdditiveAttention",
     "Optimizer",
     "TrainerConfig",
+    "fit",
     "save_checkpoint",
     "load_checkpoint",
 ]

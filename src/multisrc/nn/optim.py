@@ -1,14 +1,16 @@
 """Adam with fixed BETA1, BETA2 and EPS, the one update rule every model
-trains with, and its trainer config."""
+trains with, its trainer config, and `fit`, the one training loop."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DataError, NumericError
+from . import tensor as T
 from .tensor import Parameter
 
 BETA1 = 0.9
@@ -63,3 +65,35 @@ class Optimizer:
             p.data -= self.config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
         for p in self.params:
             p.zero_grad()
+
+
+def fit(model, items: list, mode: str, trainer: TrainerConfig, cap: int,
+        size: Callable[[object], int]) -> dict:
+    """Shuffled epochs, each stopping before the item that would push its
+    summed `size` past `cap` (the first item is always taken), and one Adam
+    update per item from `model.sentence_losses(item, mode, rng, epoch)`,
+    where `rng` also shuffles the epochs.  An item without losses counts
+    toward the cap but makes no update."""
+    if not items:
+        raise DataError("empty training data")
+    optimizer = Optimizer(model.params.all(), trainer)
+    rng = np.random.default_rng(trainer.seed)
+    history = {"epoch_loss": [], "epoch_updates": []}
+    for epoch in range(trainer.epochs):
+        used, epoch_loss, updates = 0, 0.0, 0
+        for position in rng.permutation(len(items)):
+            item = items[position]
+            if used and used + size(item) > cap:
+                break
+            used += size(item)
+            losses = model.sentence_losses(item, mode, rng, epoch)
+            if not losses:
+                continue
+            loss = T.total(losses)
+            epoch_loss += float(loss.data)
+            updates += 1
+            loss.backward()
+            optimizer.step()
+        history["epoch_loss"].append(epoch_loss)
+        history["epoch_updates"].append(updates)
+    return history

@@ -26,7 +26,7 @@ from .encoder import (
     require_positive,
 )
 from .errors import DataError, NumericError
-from .nn import Affine, Embedding, Optimizer, ParamSet, TrainerConfig
+from .nn import Affine, Embedding, ParamSet, TrainerConfig, fit
 from .nn import tensor as T
 from .oracle import DynamicOracle
 from .trees import DependencyTree
@@ -72,11 +72,11 @@ class ParserHeader:
         require_distinct("labels", self.labels)
 
     @classmethod
-    def build(cls, data: list[tuple[Sentence, DependencyTree]], members: list[str],
-              seed: int) -> "ParserHeader":
-        """Sorted labels and the vocabulary of the training data."""
-        labels = sorted({label for _, tree in data for label in tree.deprels})
-        return cls(labels, list(members), seed, Vocabulary.build([sent for sent, _ in data]))
+    def build(cls, treebanks: list[Treebank], members: list[str], seed: int) -> "ParserHeader":
+        """Sorted labels and the vocabulary of the training tokens."""
+        sentences = [s for tb in treebanks for s in tb.sentences]
+        labels = sorted({t.deprel for s in sentences for t in s.tokens})
+        return cls(labels, list(members), seed, Vocabulary.build(sentences))
 
 
 class DependencyParser:
@@ -124,8 +124,6 @@ class DependencyParser:
 
     def parse_sentence(self, sentence: Sentence, mode: str = MODE_NONE) -> DependencyTree:
         """Greedy argmax over legal transitions; total by construction."""
-        if not sentence.tokens:
-            raise DataError("cannot parse an empty sentence")
         encodings, _ = self.encoder.encode_sentence(sentence, mode)
         slots = self.scorer_slots(encodings)
         state = ParserState.initial(len(sentence.tokens))
@@ -146,69 +144,47 @@ class DependencyParser:
             out.append(replace(sent, tokens=tokens))
         return replace(treebank, sentences=out)
 
+    # -- training -------------------------------------------------------------
 
-def train_parser(
-    model: DependencyParser,
-    data: list[tuple[Sentence, DependencyTree]],
-    mode: str,
-    trainer: TrainerConfig,
-) -> dict:
-    """Error-exploration training; returns per-epoch loss diagnostics.
-
-    Exploration follows the model's argmax among the transitions the
-    static-dynamic policy allows, so oracle costs stay exact along every
-    visited trajectory.
-    """
-    if not data:
-        raise DataError("empty training data")
-    for sentence, tree in data:
-        if len(sentence.tokens) != len(tree):
-            raise DataError("sentence/tree length mismatch in training data")
-    optimizer = Optimizer(model.params.all(), trainer)
-    rng = np.random.default_rng(trainer.seed)
-    history = {"epoch_loss": [], "epoch_updates": []}
-    for epoch in range(trainer.epochs):
-        order = rng.permutation(len(data))[: trainer.max_sentences_per_epoch]
-        epoch_loss, updates = 0.0, 0
-        for position in order:
-            sentence, gold = data[position]
-            losses = _sentence_losses(model, sentence, gold, mode, rng, epoch)
-            if not losses:
-                continue
-            loss = T.total(losses)
-            epoch_loss += float(loss.data)
-            updates += 1
-            loss.backward()
-            optimizer.step()
-        history["epoch_loss"].append(epoch_loss)
-        history["epoch_updates"].append(updates)
-    return history
+    def sentence_losses(self, item: tuple[Sentence, DependencyTree], mode: str,
+                        rng: np.random.Generator, epoch: int) -> list[T.Tensor]:
+        """The violated hinge margins of one error-exploration pass over a
+        (sentence, gold tree) item.  Exploration follows the model's argmax
+        among the transitions the static-dynamic policy allows, so oracle
+        costs stay exact along every visited trajectory."""
+        sentence, gold = item
+        oracle = DynamicOracle(gold)
+        encodings, _ = self.encoder.encode_sentence(sentence, mode)
+        slots = self.scorer_slots(encodings)
+        state = ParserState.initial(len(gold))
+        losses = []
+        explore = epoch >= EXPLORE_BURNIN_EPOCHS
+        while not state.is_terminal():
+            scores = self.score_transitions(state, slots)
+            costs = oracle.costs(state)
+            zero_idx, costly_idx = _partition_indices(self, state, gold, costs)
+            if zero_idx and costly_idx:
+                margin = T.hinge(scores, costly_idx, zero_idx)
+                value = float(margin.data)
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite parser margin {value}")
+                if value > 0.0:
+                    losses.append(margin)
+            transition = _choose_transition(
+                self, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng
+            )
+            oracle.advance(state, transition.kind)
+            state = apply_transition(state, transition)
+        return losses
 
 
-def _sentence_losses(model, sentence, gold, mode, rng, epoch):
-    oracle = DynamicOracle(gold)
-    encodings, _ = model.encoder.encode_sentence(sentence, mode)
-    slots = model.scorer_slots(encodings)
-    state = ParserState.initial(len(gold))
-    losses = []
-    explore = epoch >= EXPLORE_BURNIN_EPOCHS
-    while not state.is_terminal():
-        scores = model.score_transitions(state, slots)
-        costs = oracle.costs(state)
-        zero_idx, costly_idx = _partition_indices(model, state, gold, costs)
-        if zero_idx and costly_idx:
-            margin = T.hinge(scores, costly_idx, zero_idx)
-            value = float(margin.data)
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite parser margin {value}")
-            if value > 0.0:
-                losses.append(margin)
-        transition = _choose_transition(
-            model, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng
-        )
-        oracle.advance(state, transition.kind)
-        state = apply_transition(state, transition)
-    return losses
+def train_parser(model: DependencyParser, treebanks: list[Treebank], mode: str,
+                 trainer: TrainerConfig) -> dict:
+    """Error-exploration training on every sentence with tokens, at most
+    `max_sentences_per_epoch` of them per epoch; returns `fit`'s history."""
+    items = [(s, DependencyTree.from_sentence(s)) for tb in treebanks for s in tb.sentences
+             if s.tokens]
+    return fit(model, items, mode, trainer, trainer.max_sentences_per_epoch, lambda _: 1)
 
 
 def _partition_indices(model, state, gold, costs):

@@ -97,9 +97,7 @@ def ambiguity_corpus(seed: int, n_conflict_train: int = 24, n_shared_train: int 
     shared_dev = shared_train[:n_shared_dev]
     for dialect, source_id in (("a", "dialect_a"), ("b", "dialect_b")):
         def build(combo_list, shared):
-            sentences = [_conflict_sentence(d, n, v, dialect) for d, n, v in combo_list]
-            sentences += [_clone_sentence(s) for s in shared]
-            return sentences
+            return [_conflict_sentence(d, n, v, dialect) for d, n, v in combo_list] + shared
 
         corpus[source_id] = {
             "train": Treebank(source_id=source_id, split="train",
@@ -108,17 +106,6 @@ def ambiguity_corpus(seed: int, n_conflict_train: int = 24, n_shared_train: int 
                             sentences=build(dev_combos, shared_dev)),
         }
     return corpus
-
-
-def _clone_sentence(sentence: Sentence) -> Sentence:
-    return Sentence(
-        tokens=[
-            Token(id=t.id, form=t.form, lemma=t.lemma, upos=t.upos, morph=set(t.morph),
-                  head=t.head, deprel=t.deprel, misc=dict(t.misc))
-            for t in sentence.tokens
-        ],
-        comments=list(sentence.comments),
-    )
 
 
 # -- mixture corpus ------------------------------------------------------------

@@ -22,7 +22,7 @@ from .encoder import (
     require_positive,
 )
 from .errors import DataError
-from .nn import AdditiveAttention, Affine, Embedding, LSTM, Optimizer, ParamSet, TrainerConfig
+from .nn import AdditiveAttention, Affine, Embedding, LSTM, ParamSet, TrainerConfig, fit
 from .nn import tensor as T
 
 EOS = 0  # output index 0 ends the lemma; input index 0 is begin-of-sequence
@@ -202,43 +202,25 @@ class JointTagger:
             out.append(replace(sent, tokens=tokens))
         return replace(treebank, sentences=out)
 
+    # -- training -------------------------------------------------------------
 
-def train_joint(
-    model: JointTagger,
-    treebanks: list[Treebank],
-    mode: str,
-    trainer: TrainerConfig,
-) -> dict:
-    """Tag + lemma cross-entropy, word-capped shuffled epochs."""
+    def sentence_losses(self, sentence: Sentence, mode: str, rng: np.random.Generator,
+                        epoch: int) -> list[T.Tensor]:
+        """Each token's tag cross-entropy, then its lemma loss if it has a
+        lemma; `rng` and `epoch` are unused."""
+        encodings, chars = self.encoder.encode_sentence(sentence, mode)
+        losses = []
+        for tok, encoding, char_encodings in zip(sentence.tokens, encodings, chars):
+            gold_bundle = bundle_string(tok.morph)
+            losses.append(T.cross_entropy(self.tag_head(encoding), self.bundle_index[gold_bundle]))
+            if tok.lemma:
+                losses.append(self.lemma_loss(encoding, char_encodings, tok.lemma, gold_bundle))
+        return losses
+
+
+def train_joint(model: JointTagger, treebanks: list[Treebank], mode: str,
+                trainer: TrainerConfig) -> dict:
+    """Tag + lemma cross-entropy on every sentence with tokens, at most
+    `max_words_per_epoch` words per epoch; returns `fit`'s history."""
     sentences = [s for tb in treebanks for s in tb.sentences if s.tokens]
-    if not sentences:
-        raise DataError("empty training data")
-    optimizer = Optimizer(model.params.all(), trainer)
-    rng = np.random.default_rng(trainer.seed)
-    history = {"tag_loss": [], "lemma_loss": []}
-    for _ in range(trainer.epochs):
-        order = rng.permutation(len(sentences))
-        words_used = 0
-        tag_total, lemma_total = 0.0, 0.0
-        for position in order:
-            sentence = sentences[position]
-            if words_used + len(sentence.tokens) > trainer.max_words_per_epoch and words_used > 0:
-                break
-            words_used += len(sentence.tokens)
-            encodings, chars = model.encoder.encode_sentence(sentence, mode)
-            losses = []
-            for tok, encoding, char_encodings in zip(sentence.tokens, encodings, chars):
-                gold_bundle = bundle_string(tok.morph)
-                tag_ce = T.cross_entropy(model.tag_head(encoding), model.bundle_index[gold_bundle])
-                tag_total += float(tag_ce.data)
-                losses.append(tag_ce)
-                if tok.lemma:
-                    lemma_ce = model.lemma_loss(encoding, char_encodings, tok.lemma, gold_bundle)
-                    lemma_total += float(lemma_ce.data)
-                    losses.append(lemma_ce)
-            T.total(losses).backward()
-            optimizer.step()
-        history["tag_loss"].append(tag_total)
-        history["lemma_loss"].append(lemma_total)
-    return history
-
+    return fit(model, sentences, mode, trainer, trainer.max_words_per_epoch, len)

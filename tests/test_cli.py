@@ -8,12 +8,11 @@ import pytest
 
 from multisrc.classifier import ClassifierHyper, NGramConfig, featurize, save_model, train_linear
 from multisrc.cli import build_parser, main
-from multisrc.conllu import parse_conllu
+from multisrc.conllu import Treebank, parse_conllu
 from multisrc.encoder import EncoderConfig
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint, save_network
 from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader
 from multisrc.synth import ambiguity_corpus, mixture_corpus, write_corpus
-from multisrc.trees import DependencyTree
 
 from .helpers import sentence_from_words
 
@@ -190,6 +189,26 @@ def test_classify_gridsearch(tmp_path, capsys):
     assert header.split("\t") == ["word_min", "word_max", "char_min", "char_max", "macro_f1"]
     cols = row.split("\t")
     assert cols[0] == cols[2] == "1"  # grid ranges start at 1
+
+
+def test_classify_gridsearch_scores_a_source_without_dev_on_its_test_split(tmp_path, capsys):
+    # the cells score such a source on its test split, and so does the grid
+    # search: naming the same sentences `test` instead of `dev` changes nothing
+    grids = []
+    for held_split in ("dev", "test"):
+        corpus = ambiguity_corpus(seed=6, n_conflict_train=4, n_shared_train=4,
+                                  n_conflict_dev=2, n_shared_dev=2)
+        corpus["dialect_b"][held_split] = corpus["dialect_b"].pop("dev")
+        write_corpus(corpus, tmp_path / held_split / "data", group_id="amb")
+        exp = tmp_path / held_split / "exp.json"
+        exp.write_bytes(experiment_json(ngram={"feature_space_size": 4096},
+                                        classifier_hyper={"epochs": 3}))
+        grid_out = tmp_path / held_split / "grid.tsv"
+        code, _, err = run(["classify", "gridsearch", "--config", str(exp), "--out", str(grid_out)],
+                           capsys)
+        assert (code, err) == (0, "")
+        grids.append(grid_out.read_bytes())
+    assert grids[0] == grids[1]
 
 
 def test_experiment_and_train_verbs(tmp_path, capsys):
@@ -493,7 +512,7 @@ def test_pca_verb(experiments, tmp_path, capsys):
 
 def one_dim_gold_checkpoint(path):
     """An untrained gold parser whose source table has one dimension."""
-    data = [(sentence_from_words(["a", "b"]), DependencyTree(heads=[2, 0]))]
+    data = [Treebank("s1", sentences=[sentence_from_words(["a", "b"])])]
     config = ParserConfig(encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4,
                                                 source_dim=1, hidden_dim=4), scorer_hidden=4)
     save_network(path, DependencyParser(config, ParserHeader.build(data, ["s1", "s2"], 0)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from multisrc.conllu import Sentence, Token, Treebank, parse_conllu, write_conllu
 from multisrc.encoder import EncoderConfig
 from multisrc.errors import ConlluParseError, DataError
-from multisrc.harness import ExperimentConfig, compute_cell
+from multisrc.harness import ExperimentConfig, compute_cell, run_cell
 from multisrc.nn import TrainerConfig
 from multisrc.registry import load_registry
 from multisrc.synth import ambiguity_corpus, write_corpus
@@ -124,6 +124,42 @@ def test_a_parser_cell_trains_on_an_underscore_form(tmp_path):
     outcome = compute_cell(registry, registry.group("amb"), config, "concat", 0)
     assert "_" in outcome.models["model"].encoder.vocab.words
     assert {row.metric for row in outcome.rows} == {"las"}
+
+
+def test_comment_only_blocks_are_skipped_in_training_and_written_back(tmp_path):
+    # a comment-only block, such as a `# newdoc` line of its own, is a
+    # sentence without tokens: both tasks train without it and predict it
+    # back unchanged
+    registry_path = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                                  n_conflict_dev=1, n_shared_dev=1),
+                                 tmp_path / "data", group_id="amb")
+    for split in ("train", "dev"):
+        path = tmp_path / "data" / f"dialect_a-{split}.conllu"
+        path.write_text("# newdoc id = doc1\n\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    registry = load_registry(registry_path)
+    assert registry.split("dialect_a", "train").sentences[0].tokens == []
+    for task in ("parse", "tag_lemma"):
+        config = ExperimentConfig(
+            task=task, group_id="amb", settings=["gold"], seeds=[0],
+            trainer=TrainerConfig(learning_rate=0.02, epochs=1),
+            encoder=EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4, source_dim=2,
+                                  hidden_dim=4),
+            scorer_hidden=4,
+        )
+        _, cell_dir = run_cell(registry, registry.group("amb"), config, "gold", 0, tmp_path / task)
+        predicted = (cell_dir / "predictions_dialect_a.conllu").read_text(encoding="utf-8")
+        assert predicted.startswith("# newdoc id = doc1\n\n1\t")
+
+
+def test_a_treebank_never_writes_into_the_sentences_it_is_given():
+    sent = Sentence(tokens=[Token(id=1, form="a", head=0, deprel="root")])
+    a = Treebank("a", sentences=[sent])
+    b = Treebank("b", sentences=[sent])
+    assert sent.source_id is None
+    assert (a.sentences[0].source_id, b.sentences[0].source_id) == ("a", "b")
+    assert a.sentences[0].tokens is sent.tokens
+    with pytest.raises(DataError, match=r"^sentence source 'a' != treebank source 'b'$"):
+        Treebank("b", sentences=a.sentences)
 
 
 def test_misc_dataset_conflict_raises():

@@ -11,7 +11,7 @@ from multisrc.nn import layers
 from multisrc.nn import tensor as T
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 from multisrc.nn.layers import LSTM, AdditiveAttention, Affine, BiLSTM, Embedding, ParamSet
-from multisrc.nn.optim import EPS, Optimizer, TrainerConfig
+from multisrc.nn.optim import EPS, Optimizer, TrainerConfig, fit
 from multisrc.nn.tensor import Parameter
 
 from . import decoder_reference as R
@@ -145,6 +145,24 @@ def test_every_public_function_and_class_has_a_caller_in_src():
     assert "DependencyParser" in defined and "Sentence.text" in defined
     uncalled = [qualname for qualname, name in defined.items() if name not in referenced]
     assert sorted(uncalled) == sorted(CALLED_FROM_OUTSIDE_SRC)
+
+
+def test_every_name_a_src_module_imports_is_read_in_it():
+    # no linter runs on src/; an import whose last use moved away is dead
+    # code.  __init__.py modules import to re-export.
+    package = Path(T.__file__).resolve().parent.parent
+    unread = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.relative_to(package)}: {name}" for name in sorted(imported - read)]
+    assert unread == []
 
 
 def test_hinge_ties_go_to_the_lowest_index_and_total_folds_left_to_right():
@@ -441,6 +459,71 @@ def test_adam_determinism_bit_identical():
     run1, run2 = run(), run()
     for name in run1:
         assert np.array_equal(run1[name], run2[name])
+
+
+# --- the training loop -------------------------------------------------------
+
+
+class StubNetwork:
+    """What `fit` reads of a network.  An item is (name, size, has_loss); its
+    one loss is the sum of the network's one parameter."""
+
+    def __init__(self):
+        self.params = ParamSet(np.random.default_rng(0))
+        self.w = self.params.vector("w", 2)
+        self.calls = []  # (epoch, item name, a value drawn from the rng fit passes)
+
+    def sentence_losses(self, item, mode, rng, epoch):
+        assert mode == "gold"
+        self.calls.append((epoch, item[0], int(rng.integers(1 << 30))))
+        return [vsum(self.w)] if item[2] else []
+
+
+def counted_steps(monkeypatch):
+    steps, original = [], Optimizer.step
+    monkeypatch.setattr(Optimizer, "step", lambda self: (steps.append(1), original(self)))
+    return steps
+
+
+def test_fit_takes_a_size_capped_prefix_of_each_shuffled_epoch(monkeypatch):
+    steps = counted_steps(monkeypatch)
+    items = [("a", 3, True), ("b", 1, False), ("c", 1, True), ("d", 3, True), ("e", 5, True)]
+    model, cap = StubNetwork(), 4
+    trainer = TrainerConfig(learning_rate=0.1, epochs=8, seed=3)
+    history = fit(model, items, "gold", trainer, cap, lambda item: item[1])
+    assert [len(history[key]) for key in ("epoch_loss", "epoch_updates")] == [8, 8]
+    # the generator that shuffles the epochs is the one sentence_losses draws
+    # from, in call order: replaying both on a fresh generator gives the run
+    reference = np.random.default_rng(trainer.seed)
+    for epoch in range(trainer.epochs):
+        order = [items[i] for i in reference.permutation(len(items))]
+        calls = [call for call in model.calls if call[0] == epoch]
+        taken = order[:len(calls)]
+        assert [name for _, name, _ in calls] == [name for name, _, _ in taken]
+        assert [drawn for *_, drawn in calls] == [int(reference.integers(1 << 30)) for _ in calls]
+        used = sum(size for _, size, _ in taken)
+        # at least one item; stop before the item that would pass the cap
+        assert len(taken) == 1 or used <= cap
+        assert len(taken) == len(order) or used + order[len(taken)][1] > cap
+        # an item without losses counts toward the cap but makes no update
+        assert history["epoch_updates"][epoch] == sum(has_loss for *_, has_loss in taken)
+    assert len(steps) == sum(history["epoch_updates"])
+    firsts = [[name for e, name, _ in model.calls if e == epoch][0] for epoch in range(8)]
+    assert "e" in firsts  # an item larger than the cap, taken first
+    assert "b" in {name for _, name, _ in model.calls}  # a lossless item, taken
+
+
+def test_fit_always_takes_one_item_and_steps_only_on_losses(monkeypatch):
+    steps = counted_steps(monkeypatch)
+    trainer = TrainerConfig(learning_rate=0.1, epochs=3)
+    model = StubNetwork()
+    history = fit(model, [("big", 9, True), ("big2", 9, True)], "gold", trainer, 4, lambda i: i[1])
+    assert history["epoch_updates"] == [1, 1, 1] and len(steps) == 3
+    assert history["epoch_loss"][0] == 0.0 and history["epoch_loss"][1] < 0.0  # w moved
+    history = fit(StubNetwork(), [("none", 1, False)], "gold", trainer, 4, lambda i: i[1])
+    assert history == {"epoch_loss": [0.0] * 3, "epoch_updates": [0] * 3} and len(steps) == 3
+    with pytest.raises(DataError, match="^empty training data$"):
+        fit(StubNetwork(), [], "gold", trainer, 4, lambda i: i[1])
 
 
 # --- checkpoints ----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisrc.conllu import Treebank
+from multisrc.conllu import Sentence, Treebank
 from multisrc.encoder import MODE_NONE, EncoderConfig
 from multisrc.errors import DataError, NumericError
 from multisrc.metrics import las
@@ -29,17 +29,15 @@ def toy_corpus():
         (["cats", "chase", "dogs"], [2, 0, 2], ["nsubj", "root", "obj"]),
         (["dogs", "see", "cats"], [2, 0, 2], ["nsubj", "root", "obj"]),
     ]
-    data = []
-    for words, heads, rels in specs:
-        sent = sentence_from_words(words, heads=heads, deprels=rels, source_id="toy")
-        data.append((sent, DependencyTree(heads=heads, deprels=rels)))
-    return data
+    sentences = [sentence_from_words(words, heads=heads, deprels=rels, source_id="toy")
+                 for words, heads, rels in specs]
+    return Treebank(source_id="toy", sentences=sentences)
 
 
-def build_model(data, cfg=None, seed=5):
+def build_model(treebank, cfg=None, seed=5):
     return DependencyParser(
         ParserConfig(encoder=cfg or SMALL, scorer_hidden=24),
-        ParserHeader.build(data, [], seed),
+        ParserHeader.build([treebank], [], seed),
     )
 
 
@@ -48,12 +46,12 @@ def trainer(epochs, seed=1):
 
 
 def test_score_vector_shape_and_determinism():
-    data = toy_corpus()
-    model = build_model(data)
-    sent, gold = data[0]
+    tb = toy_corpus()
+    model = build_model(tb)
+    sent = tb.sentences[0]
     encodings, _ = model.encoder.encode_sentence(sent, MODE_NONE)
     slots = model.scorer_slots(encodings)
-    state = ParserState.initial(len(gold))
+    state = ParserState.initial(len(sent))
     scores = model.score_transitions(state, slots)
     assert scores.data.shape == (2 * len(model.labels) + 2,)
     again = model.score_transitions(state, slots)
@@ -108,10 +106,9 @@ def test_untrained_parse_is_a_tree_on_sentences_up_to_40_tokens(words):
 
 
 def test_overfit_toy_corpus_reaches_perfect_las():
-    data = toy_corpus()
-    model = build_model(data)
-    history = train_parser(model, data, MODE_NONE, trainer(60))
-    gold_tb = Treebank(source_id="toy", split="train", sentences=[sent for sent, _ in data])
+    gold_tb = toy_corpus()
+    model = build_model(gold_tb)
+    history = train_parser(model, [gold_tb], MODE_NONE, trainer(60))
     pred_tb = model.parse_treebank(gold_tb, MODE_NONE)
     assert las(gold_tb, pred_tb).value == 100.0
     assert history["epoch_loss"][-1] <= history["epoch_loss"][0]
@@ -122,30 +119,29 @@ def test_nonprojective_tree_needs_swap():
     heads = [0, 4, 1, 1]
     rels = ["root", "obj", "mod", "arg"]
     sent = sentence_from_words(words, heads=heads, deprels=rels, source_id="toy")
-    gold = DependencyTree(heads=heads, deprels=rels)
-    data = [(sent, gold)]
+    tb = Treebank(source_id="toy", sentences=[sent])
 
-    model = build_model(data, seed=3)
-    train_parser(model, data, MODE_NONE, trainer(80))
+    model = build_model(tb, seed=3)
+    train_parser(model, [tb], MODE_NONE, trainer(80))
     assert model.parse_sentence(sent, MODE_NONE).heads == heads
 
 
 def test_training_is_deterministic_across_runs():
-    data = toy_corpus()
+    tb = toy_corpus()
     results = []
     for _ in range(2):
-        model = build_model(data, seed=9)
-        train_parser(model, data, MODE_NONE, trainer(8, seed=4))
+        model = build_model(tb, seed=9)
+        train_parser(model, [tb], MODE_NONE, trainer(8, seed=4))
         results.append({name: p.data.copy() for name, p in model.params.params.items()})
     for name in results[0]:
         assert np.array_equal(results[0][name], results[1][name])
 
 
 def test_epoch_sentence_cap_limits_updates():
-    data = toy_corpus()
-    model = build_model(data)
+    tb = toy_corpus()
+    model = build_model(tb)
     config = TrainerConfig(learning_rate=0.01, epochs=1, seed=0, max_sentences_per_epoch=2)
-    history = train_parser(model, data, MODE_NONE, config)
+    history = train_parser(model, [tb], MODE_NONE, config)
     assert history["epoch_updates"][0] <= 2
 
 
@@ -153,30 +149,42 @@ def test_train_errors():
     model = build_model(toy_corpus())
     with pytest.raises(DataError, match="empty training data"):
         train_parser(model, [], MODE_NONE, trainer(1))
-    sent = sentence_from_words(["a", "b"], heads=[2, 0])
-    bad = [(sent, DependencyTree(heads=[0]))]
-    with pytest.raises(DataError, match="length mismatch"):
-        train_parser(model, bad, MODE_NONE, trainer(1))
+    comment_only = Treebank("toy", sentences=[Sentence(tokens=[], comments=["# newdoc"])])
+    with pytest.raises(DataError, match="empty training data"):
+        train_parser(model, [comment_only], MODE_NONE, trainer(1))
+
+
+def test_sentence_without_tokens_parses_to_the_empty_tree():
+    model = build_model(toy_corpus())
+    assert len(model.parse_sentence(Sentence(tokens=[]), MODE_NONE)) == 0
+
+
+def test_history_holds_one_loss_and_update_count_per_epoch():
+    tb = toy_corpus()
+    history = train_parser(build_model(tb), [tb], MODE_NONE, trainer(3))
+    assert list(history) == ["epoch_loss", "epoch_updates"]
+    assert [len(values) for values in history.values()] == [3, 3]
+    assert all(0 <= updates <= len(tb) for updates in history["epoch_updates"])
 
 
 def test_non_finite_margin_stops_training():
     # a NaN margin fails the `> 0` test that keeps a margin, so without the
     # check no loss is built, no step runs and training ends "successfully"
-    data = toy_corpus()
-    model = build_model(data)
+    tb = toy_corpus()
+    model = build_model(tb)
     model.out.b.data[:] = np.nan
     with pytest.raises(NumericError, match="^non-finite parser margin nan$"):
-        train_parser(model, data, MODE_NONE, trainer(1))
+        train_parser(model, [tb], MODE_NONE, trainer(1))
 
 
 def test_parser_checkpoint_roundtrip_reproduces_parses(tmp_path):
-    data = toy_corpus()
-    model = build_model(data)
-    train_parser(model, data, MODE_NONE, trainer(5))
+    tb = toy_corpus()
+    model = build_model(tb)
+    train_parser(model, [tb], MODE_NONE, trainer(5))
     path = tmp_path / "parser.npz"
     save_network(path, model)
     loaded = load_network(path, DependencyParser)
-    for sent, _ in data:
+    for sent in tb.sentences:
         t1 = model.parse_sentence(sent, MODE_NONE)
         t2 = loaded.parse_sentence(sent, MODE_NONE)
         assert t1.heads == t2.heads

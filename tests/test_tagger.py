@@ -117,19 +117,36 @@ def test_suffix_rule_learned():
     assert not wrong, f"lemma errors: {wrong[:5]}"
 
 
+def train_recording_losses(model, tb, epochs):
+    """Train, and sum each epoch's tag and lemma losses apart.  Every token
+    of `tb` has a lemma, so a sentence's losses alternate tag, lemma."""
+    tag, lemma = [0.0] * epochs, [0.0] * epochs
+    original = model.sentence_losses
+
+    def recording(sentence, mode, rng, epoch):
+        losses = original(sentence, mode, rng, epoch)
+        tag[epoch] += sum(float(loss.data) for loss in losses[0::2])
+        lemma[epoch] += sum(float(loss.data) for loss in losses[1::2])
+        return losses
+
+    model.sentence_losses = recording
+    history = train_joint(model, [tb], MODE_NONE, trainer(epochs))
+    assert history["epoch_loss"] == pytest.approx([t + m for t, m in zip(tag, lemma)], rel=1e-12)
+    return tag, lemma
+
+
 def test_losses_strictly_decrease_over_first_epochs():
     tb = identity_corpus()
-    model = build_model(tb)
-    history = train_joint(model, [tb], MODE_NONE, trainer(3))
-    assert history["tag_loss"][0] > history["tag_loss"][1] > history["tag_loss"][2]
-    assert history["lemma_loss"][0] > history["lemma_loss"][1] > history["lemma_loss"][2]
+    tag, lemma = train_recording_losses(build_model(tb), tb, 3)
+    assert tag[0] > tag[1] > tag[2]
+    assert lemma[0] > lemma[1] > lemma[2]
 
 
 def test_lemma_training_converges_beside_the_tag_loss():
     tb = identity_corpus()
     model = build_model(tb, seed=6)
-    history = train_joint(model, [tb], MODE_NONE, trainer(30))
-    assert history["lemma_loss"][-1] < history["lemma_loss"][0] / 5
+    _, lemma = train_recording_losses(model, tb, 30)
+    assert lemma[-1] < lemma[0] / 5
     pred = model.annotate_treebank(tb, MODE_NONE)
     lemma_hits = sum(
         g.lemma == p.lemma
@@ -277,12 +294,22 @@ def test_char_bilstm_runs_once_per_token_in_training_and_annotation(monkeypatch)
     assert forms == tokens
 
 
+def test_history_holds_one_loss_and_update_count_per_epoch():
+    # every sentence with tokens makes one update; a comment-only one none
+    tb = identity_corpus()
+    with_comment = Treebank("toy", sentences=[Sentence(tokens=[], comments=["# newdoc"])])
+    history = train_joint(build_model(tb), [with_comment, tb], MODE_NONE, trainer(3))
+    assert list(history) == ["epoch_loss", "epoch_updates"]
+    assert history["epoch_updates"] == [len(tb)] * 3 and len(history["epoch_loss"]) == 3
+
+
 def test_word_cap_limits_epoch():
     tb = identity_corpus()
     model = build_model(tb)
     config = TrainerConfig(learning_rate=0.02, epochs=1, seed=0, max_words_per_epoch=3)
     history = train_joint(model, [tb], MODE_NONE, config)
-    assert history["tag_loss"][0] > 0  # trained on something, capped early
+    assert history["epoch_loss"][0] > 0  # trained on something, capped early
+    assert history["epoch_updates"][0] <= 3
 
 
 def test_checkpoint_roundtrip_reproduces_annotations(tmp_path):
