@@ -55,10 +55,12 @@ class ParamSet:
 
 
 class Embedding:
-    """Lookup table; gradient accumulates only on the touched rows."""
+    """Lookup table; gradient accumulates only on the touched rows, and
+    every row that takes a gradient is marked in `table.seen`."""
 
     def __init__(self, params: ParamSet, name: str, vocab_size: int, dim: int):
         self.table = params.matrix(name, vocab_size, dim)
+        self.table.seen = np.zeros(vocab_size, dtype=bool)
         self.vocab_size = vocab_size
         self.dim = dim
 
@@ -69,6 +71,7 @@ class Embedding:
 
         def backward(g):
             table.grad[index] += g
+            table.seen[index] = True
 
         return Tensor(table.data[index].copy(), parents=(table,), backward=backward)
 
@@ -80,6 +83,7 @@ class Embedding:
 
         def backward(g):
             np.add.at(table.grad, indices, g)
+            table.seen[indices] = True
 
         return Tensor(table.data[indices], parents=(table,), backward=backward)
 

@@ -77,12 +77,16 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    __slots__ = ("name",)
+    __slots__ = ("name", "seen")
 
     def __init__(self, name: str, data):
         super().__init__(data)
         self.name = name
         self.grad = np.zeros_like(self.data)
+        # a row-sparse table (an `Embedding`) marks here every row it has
+        # ever written a gradient into, and an optimizer step sweeps just
+        # those rows; None for a dense parameter, whose every row it sweeps
+        self.seen: np.ndarray | None = None
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"

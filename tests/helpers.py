@@ -1,10 +1,14 @@
 """Shared builders used across tests: small synthetic treebanks, random
-gold trees, a projectivity test and a one-shot oracle cost query."""
+gold trees, a projectivity test, a one-shot oracle cost query and the
+dense Adam step that `Optimizer.step` must match bit for bit."""
 
 import heapq
 
+import numpy as np
+
 from multisrc.conllu import Sentence, Token, Treebank
-from multisrc.errors import DataError
+from multisrc.errors import DataError, NumericError
+from multisrc.nn.optim import BETA1, BETA2, EPS
 from multisrc.oracle import DynamicOracle
 from multisrc.transitions import ParserState
 from multisrc.trees import ROOT, DependencyTree
@@ -123,3 +127,30 @@ def oracle_costs(state: ParserState, gold: DependencyTree, use_swap: bool = True
         oracle.remaining[oracle.heads[dependent]].discard(dependent)
         oracle.remaining[dependent] = set()
     return oracle.costs(state)
+
+
+def dense_adam_reference(optimizer):
+    """One Adam step over every element of every parameter, with full-size
+    temporaries: the update that `Optimizer.step` replaced.  It shares the
+    optimizer's step count and moments, so it can stand in for `step`.
+    Tests require the sweep of `step` to match it bit for bit
+    (`np.array_equal`), because it runs the same expressions in the same
+    order and skips only rows whose update is exactly zero."""
+    for p in optimizer.params:
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
+    optimizer.step_count += 1
+    t = optimizer.step_count
+    for p in optimizer.params:
+        if p.name not in optimizer._moments:
+            optimizer._moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = optimizer._moments[p.name]
+        m *= BETA1
+        m += (1 - BETA1) * p.grad
+        v *= BETA2
+        v += (1 - BETA2) * p.grad * p.grad
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        p.data -= optimizer.config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    for p in optimizer.params:
+        p.zero_grad()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from multisrc.errors import DataError, NumericError
-from multisrc.nn import layers
+from multisrc.nn import layers, optim
 from multisrc.nn import tensor as T
 from multisrc.nn.checkpoint import load_checkpoint, save_checkpoint
 from multisrc.nn.layers import LSTM, AdditiveAttention, Affine, BiLSTM, Embedding, ParamSet
@@ -16,6 +16,7 @@ from multisrc.nn.tensor import Parameter
 
 from . import decoder_reference as R
 from .gradcheck import add, constant, dot, finite_difference_check, mul, random_param, vsum
+from .helpers import dense_adam_reference
 
 
 def rng():
@@ -426,6 +427,27 @@ def test_nan_gradient_raises_naming_parameter():
     p.grad = np.array([np.nan, 0.0])
     with pytest.raises(NumericError, match="bad_param"):
         Optimizer([p], TrainerConfig(learning_rate=0.1)).step()
+    # a non-finite value that reaches a table row through either lookup
+    # names the table, and the step changes no parameter and no moment
+    for bad in (np.nan, np.inf, -np.inf):
+        for lookup in ("one", "rows"):
+            ps = ParamSet(np.random.default_rng(4))
+            layer, emb = Affine(ps, "dense", 3, 2), Embedding(ps, "bad_table", 9, 3)
+            opt = Optimizer(ps.all(), TrainerConfig(learning_rate=0.1))
+            backward_lookups(layer, emb, [("rows", [1, 2], np.ones((2, 3)))], dense=np.ones((2, 3)))
+            opt.step()
+            before = snapshot(opt)
+            upstream = np.array([0.5, bad, 1.0])
+            batch = [("one", 7, upstream)] if lookup == "one" else [("rows", [2, 7, 2], np.stack([upstream] * 3))]
+            with np.errstate(invalid="ignore"):
+                backward_lookups(layer, emb, batch, dense=np.ones((2, 3)))
+            with pytest.raises(NumericError, match="bad_table"):
+                opt.step()
+            after = snapshot(opt)
+            assert opt.step_count == 1 and before.keys() == after.keys()
+            for name in before:
+                if not name.endswith(".grad"):
+                    assert np.array_equal(before[name], after[name]), name
 
 
 @pytest.mark.parametrize(
@@ -459,6 +481,85 @@ def test_adam_determinism_bit_identical():
     run1, run2 = run(), run()
     for name in run1:
         assert np.array_equal(run1[name], run2[name])
+
+
+def backward_lookups(layer, emb, lookups, dense):
+    """Back-propagate one loss: the dense layer's weights times `dense`, and
+    each (how, ids, upstream) table lookup, one row (`emb(ids)`) or many
+    (`emb.rows(ids)`), times its upstream gradient."""
+    losses = [vsum(mul(layer.w, constant(dense))), vsum(mul(layer.b, constant(dense[:, 0])))]
+    for how, ids, upstream in lookups:
+        rows = emb(ids) if how == "one" else emb.rows(ids)
+        losses.append(vsum(mul(rows, constant(upstream))))
+    T.total(losses).backward()
+
+
+def snapshot(optimizer):
+    """Copies of every parameter's data and gradient and both its moments."""
+    state = {}
+    for p in optimizer.params:
+        state[p.name], state[p.name + ".grad"] = p.data.copy(), p.grad.copy()
+        for moment, values in zip("mv", optimizer._moments.get(p.name, ())):
+            state[f"{p.name}.{moment}"] = values.copy()
+    return state
+
+
+def plan_every_row(step, rng, vocab):
+    if step == 0:
+        return [("rows", list(range(vocab)))]
+    return [("rows", sorted(rng.choice(vocab, size=5, replace=False).tolist()))]
+
+
+ADAM_SWEEP_CASES = {
+    # (vocab, dim, plan(step, rng, vocab) -> [(how, ids)])
+    "dense-only": (6, 3, lambda step, rng, vocab: []),
+    "one-row-table": (1, 5, lambda step, rng, vocab: [("one", 0)] if step % 2 else []),
+    "table-over-one-chunk": (
+        optim.CHUNK // 8 + 37, 8,
+        lambda step, rng, vocab: [
+            ("rows", rng.integers(0, vocab, size=40).tolist()),
+            ("rows", list(range(optim.CHUNK // 8 - 3 + step, optim.CHUNK // 8 + 6 + step))),
+        ],
+    ),
+    "rows-first-seen-late": (
+        12, 4,
+        lambda step, rng, vocab: [("rows", [0, 1, 2, 3, 4])] + ([("one", 9), ("rows", [7])] if step >= 8 else []),
+    ),
+    "repeated-ids": (8, 3, lambda step, rng, vocab: [("rows", [3, 3, 5, 3]), ("one", 3), ("one", step % 8)]),
+    "every-row-seen": (40, 6, plan_every_row),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 24], ids=["chunk-default", "chunk-24"])
+@pytest.mark.parametrize("case", sorted(ADAM_SWEEP_CASES))
+def test_adam_sweep_is_bit_identical_to_the_dense_reference(case, chunk, monkeypatch):
+    # `step` sweeps dense parameters and the seen rows of the table in blocks;
+    # the reference sweeps every element at once.  Twins built from one seed
+    # take the same gradients for 12 steps and must agree in every bit.
+    if chunk is not None:
+        monkeypatch.setattr(optim, "CHUNK", chunk)
+    vocab, dim, plan = ADAM_SWEEP_CASES[case]
+    twins = []
+    for _ in range(2):
+        ps = ParamSet(np.random.default_rng(11))
+        layer, emb = Affine(ps, "dense", 4, 3), Embedding(ps, "table", vocab, dim)
+        twins.append((layer, emb, Optimizer(ps.all(), TrainerConfig(learning_rate=0.05))))
+    rng = np.random.default_rng(5)
+    for step in range(12):
+        lookups = [(how, ids, rng.normal(scale=10.0 ** rng.integers(-3, 2), size=np.shape(ids) + (dim,)))
+                   for how, ids in plan(step, rng, vocab)]
+        dense = rng.normal(size=(3, 4))
+        for layer, emb, _ in twins:
+            backward_lookups(layer, emb, lookups, dense)
+        (_, _, swept), (_, _, reference) = twins
+        swept.step()
+        dense_adam_reference(reference)
+        got, want = snapshot(swept), snapshot(reference)
+        assert got.keys() == want.keys() and len(got) == 4 * len(swept.params)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (step, name)
+    if case == "every-row-seen":
+        assert twins[0][1].table.seen.all()
 
 
 # --- the training loop -------------------------------------------------------
