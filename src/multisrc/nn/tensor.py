@@ -8,10 +8,11 @@ repeat most are one node each: `lstm_sequence` runs a whole encoder LSTM
 (every char and sentence BiLSTM direction), `lemma_sequence` a whole
 teacher-forced lemma through the attention decoder (LSTM, attention,
 output head and the summed cross-entropies), `affine` is a layer's
-`w @ x + b`, `hinge` is the parser's margin between its best costly and
-best zero-cost transition, and `total` sums a sentence's scalar losses.
-Greedy lemma decoding builds no graph: it steps `LSTM.step` and
-`lemma_logits` on plain arrays.
+`w @ x + b`, `transition_margins` sums every violated margin of one
+parser sentence, and `total` sums a sentence's scalar losses.  Greedy lemma
+decoding builds no graph: it steps `LSTM.step` and `lemma_logits` on plain
+arrays; the parser scores its transitions with `slot_projection` and
+`slot_hidden` on plain arrays too.
 """
 
 from __future__ import annotations
@@ -171,27 +172,6 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
         logits._accumulate(g * p)
 
     return _node(lse - z[target], (logits,), backward)
-
-
-def hinge(scores: Tensor, costly: list[int], zero: list[int]) -> Tensor:
-    """Margin `1 + (scores[c] - scores[z])` of the best costly index c over
-    the best zero-cost index z; ties go to the lowest index.
-
-    The caller keeps the node only when it is positive, so no clamp is
-    needed: the subgradient is +g at c and -g at z.
-    """
-    if not costly or not zero:
-        raise DataError("hinge needs non-empty costly and zero-cost index sets")
-    c = max(costly, key=lambda i: (scores.data[i], -i))
-    z = max(zero, key=lambda i: (scores.data[i], -i))
-
-    def backward(g):
-        if scores.grad is None:
-            scores.grad = np.zeros_like(scores.data)
-        scores.grad[c] += g
-        scores.grad[z] -= g
-
-    return _node(1.0 + (scores.data[c] - scores.data[z]), (scores,), backward)
 
 
 def total(parts: list[Tensor]) -> Tensor:
@@ -372,3 +352,73 @@ def lemma_sequence(h0: Tensor, chars: Tensor, tag: Tensor, prev: Tensor, targets
 
     parents = (h0, chars, tag, prev, w, u, b, w_query, w_enc, v, w_out, b_out)
     return _node((lse - logits[picked]).sum(), parents, backward)
+
+
+def _slot_blocks(w: np.ndarray, width: int) -> np.ndarray:
+    """The (H, k*d) hidden weight as its k (H, d) column blocks: a (k, H, d) view."""
+    return w.reshape(w.shape[0], -1, width).transpose(1, 0, 2)
+
+
+def slot_projection(slots: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (k, m, H) projections of the (m, d) slot rows through the k column
+    blocks of the (H, k*d) hidden weight `w`, as one batched matmul: entry
+    [j, s] is `w[:, j*d:(j+1)*d] @ slots[s]`."""
+    return slots @ _slot_blocks(w, slots.shape[1]).transpose(0, 2, 1)
+
+
+def slot_hidden(projection: np.ndarray, b: np.ndarray, ids) -> np.ndarray:
+    """`tanh(b + sum_j projection[j, ids[j]])`: the hidden layer of the state
+    that reads slot ids[j] at position j, or, when each ids[j] holds M slot
+    ids, of M states, one row each.  The blocks are added in position order."""
+    pre = projection[0, ids[0]]
+    for j in range(1, len(projection)):
+        pre = pre + projection[j, ids[j]]
+    return np.tanh(b + pre)
+
+
+def transition_margins(slots: Tensor, w: Tensor, b: Tensor, w_out: Tensor, b_out: Tensor,
+                       ids, costly: list[int], zero: list[int]) -> Tensor:
+    """The summed hinge margins `1 + (scores[c] - scores[z])` of a parser
+    sentence's violated transitions, fused.
+
+    Margin i scores the state whose scorer reads the (m, d) `slots` rows
+    ids[i] (one per column block of `w`) with `w_out @ slot_hidden + b_out`,
+    and compares its costly index costly[i] with its zero-cost index
+    zero[i].  The caller keeps only positive margins, so no clamp is
+    needed.  The backward closure is analytic and batched: the output head
+    grads as matmuls, the hidden grads scattered into a (k, m, H) buffer
+    with `np.add.at`, then the `w` and `slots` grads as batched matmuls
+    over the blocks.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    rows, width = slots.data.shape
+    if ids.ndim != 2 or ids.shape[0] == 0 or w.data.shape[1] != ids.shape[1] * width:
+        raise DataError(f"transition_margins needs (M, k) slot ids for a (H, k*{width}) weight, "
+                        f"got ids {ids.shape} and weight {w.data.shape}")
+    if not ((-rows <= ids) & (ids < rows)).all():
+        raise DataError(f"transition_margins slot ids out of range for {rows} slots")
+    count, k = ids.shape
+    if len(costly) != count or len(zero) != count or any(c == z for c, z in zip(costly, zero)):
+        raise DataError("transition_margins needs one costly and one distinct zero-cost "
+                        "index per margin")
+    projection = slot_projection(slots.data, w.data)
+    act = slot_hidden(projection, b.data, ids.T)
+    scores = act @ w_out.data.T + b_out.data
+    margin_rows = np.arange(count)
+    margins = 1.0 + (scores[margin_rows, costly] - scores[margin_rows, zero])
+
+    def backward(g):
+        g_scores = np.zeros_like(scores)
+        g_scores[margin_rows, costly] = g
+        g_scores[margin_rows, zero] = -g
+        w_out._accumulate(g_scores.T @ act)
+        b_out._accumulate(g_scores.sum(axis=0))
+        g_pre = (g_scores @ w_out.data) * (1.0 - act * act)
+        b._accumulate(g_pre.sum(axis=0))
+        g_proj = np.zeros_like(projection)
+        np.add.at(g_proj, (np.arange(k), ids), g_pre[:, None, :])
+        g_blocks = g_proj.transpose(0, 2, 1) @ slots.data  # (k, H, d): block j is dP_j^T S
+        w._accumulate(g_blocks.transpose(1, 0, 2).reshape(w.data.shape))
+        slots._accumulate((g_proj @ _slot_blocks(w.data, width)).sum(axis=0))
+
+    return _node(margins.sum(), (slots, w, b, w_out, b_out), backward)

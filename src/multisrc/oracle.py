@@ -29,25 +29,17 @@ FORCED_COST = 1
 class DynamicOracle:
     """Per-sentence oracle; advance() must mirror the taken transitions."""
 
-    def __init__(self, gold: DependencyTree, use_swap: bool = True):
+    def __init__(self, gold: DependencyTree):
         self.gold = gold
-        self.use_swap = use_swap
         n = len(gold)
         self.heads = {d: gold.head_of(d) for d in range(1, n + 1)}
-        if use_swap:
-            self.proj = projective_order(gold)
-        else:
-            self.proj = {d: d for d in range(1, n + 1)}
+        self.proj = projective_order(gold)
         self.remaining = {h: set(gold.dependents_of(h)) for h in range(0, n + 1)}
 
     # -- policy ------------------------------------------------------------
 
     def swap_prescribed(self, state: ParserState) -> bool:
-        return (
-            self.use_swap
-            and SWAP in legal_transitions(state)
-            and self.proj[state.top] > self.proj[state.front]
-        )
+        return SWAP in legal_transitions(state) and self.proj[state.top] > self.proj[state.front]
 
     def allowed(self, state: ParserState) -> list[str]:
         """Transitions the training policy may take in this state."""
@@ -112,7 +104,7 @@ class DynamicOracle:
             dependent = state.stack[-1]
             self.remaining[dependent] = set()
             self.remaining[self.heads[dependent]].discard(dependent)
-        elif kind == SHIFT and not (self.use_swap and self._shift_is_free(state)):
+        elif kind == SHIFT and not self._shift_is_free(state):
             b0 = state.front
             in_stack = set(state.stack)
             self.remaining[b0] -= in_stack

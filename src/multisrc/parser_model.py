@@ -7,6 +7,13 @@ with SWAP.  Training follows the error-exploration regime of Kiperwasser &
 Goldberg (2016): hinge between the best costly and best zero-cost
 transition under the static-dynamic oracle, following the model's own
 argmax with probability EXPLORE_PROBABILITY after EXPLORE_BURNIN_EPOCHS.
+
+The hidden layer is precomputed per sentence (Chen & Manning 2014): its
+weight is read as one column block per slot position, and the sentence's
+slot matrix is projected through all blocks once.  A transition is then
+scored on plain arrays from four projected rows, so scoring builds no graph;
+a training pass records the slot ids and hinge pair of every violated
+margin and returns them as one fused `transition_margins` node.
 """
 
 from __future__ import annotations
@@ -107,18 +114,21 @@ class DependencyParser:
 
     # -- scoring ------------------------------------------------------------
 
-    def scorer_slots(self, encodings: list[T.Tensor]) -> list[T.Tensor]:
-        """The scorer's inputs for one sentence, indexed by token id: the
-        root vector at 0, the encodings at 1..n and the empty-slot vector
-        at -1 (index n+1)."""
-        return [self.special(0), *encodings, self.special(1)]
+    def scorer_slots(self, encodings: list[T.Tensor]) -> tuple[T.Tensor, np.ndarray]:
+        """The scorer's inputs for one sentence: the (n+2, enc_dim) slot
+        matrix, one row per token id (the root vector at 0, the encodings at
+        1..n and the empty-slot vector at -1, row n+1), and its projection
+        through the hidden layer's per-position weight blocks, a plain
+        (STACK_SLOTS+1, n+2, scorer_hidden) array."""
+        slots = T.stack([self.special(0), *encodings, self.special(1)])
+        return slots, T.slot_projection(slots.data, self.hidden.w.data)
 
-    def score_transitions(self, state: ParserState, slots: list[T.Tensor]) -> T.Tensor:
-        """One score per (kind, label) plus SHIFT and SWAP, from `scorer_slots`."""
-        stack_items = [state.stack[-1 - i] if len(state.stack) > i else -1 for i in range(STACK_SLOTS)]
-        front = -1 if state.front is None else state.front
-        features = [slots[t] for t in stack_items] + [slots[front]]
-        return self.out(T.tanh(self.hidden(T.concat(features))))
+    def score_transitions(self, state: ParserState, slots: tuple[T.Tensor, np.ndarray]) -> np.ndarray:
+        """One score per (kind, label) plus SHIFT and SWAP, from `scorer_slots`,
+        on plain arrays."""
+        _, projection = slots
+        hidden = T.slot_hidden(projection, self.hidden.b.data, slot_ids(state))
+        return self.out.w.data @ hidden + self.out.b.data
 
     # -- decoding -------------------------------------------------------------
 
@@ -128,9 +138,8 @@ class DependencyParser:
         slots = self.scorer_slots(encodings)
         state = ParserState.initial(len(sentence.tokens))
         while not state.is_terminal():
-            scores = self.score_transitions(state, slots).data
-            indices = self.legal_indices(state)
-            best = max(indices, key=lambda i: (scores[i], -i))
+            scores = self.score_transitions(state, slots)
+            best = best_index(scores, self.legal_indices(state))
             state = apply_transition(state, self.transitions[best])
         return state.to_tree()
 
@@ -149,33 +158,39 @@ class DependencyParser:
     def sentence_losses(self, item: tuple[Sentence, DependencyTree], mode: str,
                         rng: np.random.Generator, epoch: int) -> list[T.Tensor]:
         """The violated hinge margins of one error-exploration pass over a
-        (sentence, gold tree) item.  Exploration follows the model's argmax
-        among the transitions the static-dynamic policy allows, so oracle
-        costs stay exact along every visited trajectory."""
+        (sentence, gold tree) item, as one fused `transition_margins` node
+        (an empty list when none is violated).  Exploration follows the
+        model's argmax among the transitions the static-dynamic policy
+        allows, so oracle costs stay exact along every visited trajectory."""
         sentence, gold = item
         oracle = DynamicOracle(gold)
         encodings, _ = self.encoder.encode_sentence(sentence, mode)
         slots = self.scorer_slots(encodings)
         state = ParserState.initial(len(gold))
-        losses = []
+        ids, costly, zero = [], [], []
         explore = epoch >= EXPLORE_BURNIN_EPOCHS
         while not state.is_terminal():
             scores = self.score_transitions(state, slots)
             costs = oracle.costs(state)
             zero_idx, costly_idx = _partition_indices(self, state, gold, costs)
             if zero_idx and costly_idx:
-                margin = T.hinge(scores, costly_idx, zero_idx)
-                value = float(margin.data)
-                if not math.isfinite(value):
-                    raise NumericError(f"non-finite parser margin {value}")
-                if value > 0.0:
-                    losses.append(margin)
+                c, z = best_index(scores, costly_idx), best_index(scores, zero_idx)
+                margin = float(1.0 + (scores[c] - scores[z]))
+                if not math.isfinite(margin):
+                    raise NumericError(f"non-finite parser margin {margin}")
+                if margin > 0.0:
+                    ids.append(slot_ids(state))
+                    costly.append(c)
+                    zero.append(z)
             transition = _choose_transition(
-                self, scores.data, costs, oracle.allowed(state), zero_idx, explore, rng
+                self, scores, costs, oracle.allowed(state), zero_idx, explore, rng
             )
             oracle.advance(state, transition.kind)
             state = apply_transition(state, transition)
-        return losses
+        if not ids:
+            return []
+        return [T.transition_margins(slots[0], self.hidden.w, self.hidden.b, self.out.w,
+                                     self.out.b, ids, costly, zero)]
 
 
 def train_parser(model: DependencyParser, treebanks: list[Treebank], mode: str,
@@ -213,5 +228,17 @@ def _choose_transition(model, score_values, costs, allowed_kinds, zero_idx, expl
         # every option is costly (possible off the oracle path): take the
         # cheapest kind, best-scored label
         candidates = model.kind_indices[min(allowed_kinds, key=lambda k: (costs[k], k))]
-    return model.transitions[max(candidates, key=lambda i: (score_values[i], -i))]
+    return model.transitions[best_index(score_values, candidates)]
+
+
+def best_index(scores, candidates: list[int]) -> int:
+    """The candidate index with the highest score; ties go to the lowest index."""
+    return max(candidates, key=lambda i: (scores[i], -i))
+
+
+def slot_ids(state: ParserState) -> list[int]:
+    """The slot rows the scorer reads in `state`: the top STACK_SLOTS stack
+    items, then the buffer front; -1, the empty slot, where there is none."""
+    stack_items = [state.stack[-1 - i] if len(state.stack) > i else -1 for i in range(STACK_SLOTS)]
+    return stack_items + [-1 if state.front is None else state.front]
 

@@ -1,6 +1,8 @@
 """Shared builders used across tests: small synthetic treebanks, random
-gold trees, a projectivity test, a one-shot oracle cost query and the
-dense Adam step that `Optimizer.step` must match bit for bit."""
+gold trees, a projectivity test, a one-shot oracle cost query, the oracle
+without SWAP, the dense Adam step that `Optimizer.step` must match bit for
+bit, and the per-transition parser scorer and hinge loss that the fused
+slot-projection scorer must agree with."""
 
 import heapq
 
@@ -8,9 +10,11 @@ import numpy as np
 
 from multisrc.conllu import Sentence, Token, Treebank
 from multisrc.errors import DataError, NumericError
+from multisrc.nn import tensor as T
 from multisrc.nn.optim import BETA1, BETA2, EPS
 from multisrc.oracle import DynamicOracle
-from multisrc.transitions import ParserState
+from multisrc.parser_model import _choose_transition, _partition_indices, slot_ids
+from multisrc.transitions import ParserState, apply_transition
 from multisrc.trees import ROOT, DependencyTree
 
 
@@ -112,7 +116,7 @@ def random_projective_tree(n: int, rng, labels=("dep", "mod", "arg")) -> Depende
     return DependencyTree(heads=heads, deprels=[rng.choice(labels) for _ in range(n)])
 
 
-def oracle_costs(state: ParserState, gold: DependencyTree, use_swap: bool = True):
+def oracle_costs(state: ParserState, gold: DependencyTree):
     """One-shot cost query for a state reached by zero-cost transitions.
 
     Training keeps a DynamicOracle and advances it along the followed
@@ -122,11 +126,23 @@ def oracle_costs(state: ParserState, gold: DependencyTree, use_swap: bool = True
     """
     if not isinstance(gold, DependencyTree):
         raise DataError("gold must be a DependencyTree")
-    oracle = DynamicOracle(gold, use_swap=use_swap)
+    oracle = DynamicOracle(gold)
     for dependent in state.arcs:
         oracle.remaining[oracle.heads[dependent]].discard(dependent)
         oracle.remaining[dependent] = set()
     return oracle.costs(state)
+
+
+class NoSwapOracle(DynamicOracle):
+    """The oracle of the arc-hybrid system without SWAP: costs against the
+    surface order instead of the projectivized one.  No item ever precedes
+    another item in that order that it follows on the surface, so SWAP is
+    never prescribed and no SHIFT is free; a legal SWAP costs FORCED_COST,
+    and callers that run without SWAP drop it."""
+
+    def __init__(self, gold: DependencyTree):
+        super().__init__(gold)
+        self.proj = {d: d for d in range(1, len(gold) + 1)}
 
 
 def dense_adam_reference(optimizer):
@@ -154,3 +170,57 @@ def dense_adam_reference(optimizer):
         p.data -= optimizer.config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
     for p in optimizer.params:
         p.zero_grad()
+
+
+def reference_scores(model, state: ParserState, encodings: list) -> T.Tensor:
+    """The parser's scores before slot projection: the four slot vectors
+    joined by `concat`, then affine, tanh and affine, one graph per
+    transition.  `encodings` are `encode_sentence`'s per-token rows."""
+    slots = [model.special(0), *encodings, model.special(1)]
+    features = T.concat([slots[i] for i in slot_ids(state)])
+    return model.out(T.tanh(model.hidden(features)))
+
+
+def reference_hinge(scores: T.Tensor, costly: list[int], zero: list[int]) -> T.Tensor:
+    """Margin `1 + (scores[c] - scores[z])` of the best costly index c over
+    the best zero-cost index z, ties to the lowest index, as one node whose
+    subgradient is +g at c and -g at z."""
+    if not costly or not zero:
+        raise DataError("hinge needs non-empty costly and zero-cost index sets")
+    c = max(costly, key=lambda i: (scores.data[i], -i))
+    z = max(zero, key=lambda i: (scores.data[i], -i))
+
+    def backward(g):
+        if scores.grad is None:
+            scores.grad = np.zeros_like(scores.data)
+        scores.grad[c] += g
+        scores.grad[z] -= g
+
+    return T.Tensor(1.0 + (scores.data[c] - scores.data[z]), (scores,), backward)
+
+
+def reference_sentence_pass(model, item, mode: str):
+    """`sentence_losses`'s pass in epoch 0, before exploration starts, scored by
+    `reference_scores` with one `reference_hinge` per violated margin.
+    Returns the fused pass's inputs next to the reference: the visited
+    (state, reference scores) pairs and the summed margins as one `total`
+    node, or None when no margin is violated."""
+    sentence, gold = item
+    oracle = DynamicOracle(gold)
+    encodings, _ = model.encoder.encode_sentence(sentence, mode)
+    state = ParserState.initial(len(gold))
+    visited, margins = [], []
+    while not state.is_terminal():
+        scores = reference_scores(model, state, encodings)
+        visited.append((state, scores.data))
+        costs = oracle.costs(state)
+        zero_idx, costly_idx = _partition_indices(model, state, gold, costs)
+        if zero_idx and costly_idx:
+            margin = reference_hinge(scores, costly_idx, zero_idx)
+            if float(margin.data) > 0.0:
+                margins.append(margin)
+        transition = _choose_transition(model, scores.data, costs, oracle.allowed(state),
+                                        zero_idx, False, None)
+        oracle.advance(state, transition.kind)
+        state = apply_transition(state, transition)
+    return visited, (T.total(margins) if margins else None)

@@ -26,7 +26,7 @@ from multisrc.metrics import las, lemma_accuracy, morph_f1
 from multisrc.nn import Affine, Embedding, ParamSet, TrainerConfig
 from multisrc.nn import tensor as T
 from multisrc.oracle import DynamicOracle
-from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader
+from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader, slot_ids
 from multisrc.pca import pca_project
 from multisrc.registry import DataSource, DatasetGroup, Registry
 from multisrc.schema import to_tsv
@@ -52,7 +52,13 @@ from multisrc.trees import DependencyTree, projective_order
 from . import bruteforce
 from . import decoder_reference as R
 from .gradcheck import add, constant, dot, finite_difference_check, mul, random_param, vsum
-from .helpers import is_projective, random_projective_tree, random_tree, treebank_from_sentences
+from .helpers import (
+    NoSwapOracle,
+    is_projective,
+    random_projective_tree,
+    random_tree,
+    treebank_from_sentences,
+)
 from .test_metrics import naive_las, naive_lemma_acc, naive_morph_f1, random_pair
 
 
@@ -64,7 +70,7 @@ def report(number: int, description: str, passed: bool, detail: str = ""):
 
 def oracle_follow(gold, use_swap=True):
     state = ParserState.initial(len(gold))
-    oracle = DynamicOracle(gold, use_swap=use_swap)
+    oracle = DynamicOracle(gold) if use_swap else NoSwapOracle(gold)
     steps = 0
     while not state.is_terminal():
         steps += 1
@@ -244,7 +250,8 @@ def test_criterion_04_gradient_checks_every_layer():
         lambda: T.lemma_sequence(h0, chars, tag, prev, [2, 2, 1, 3, 0], lstm, attention, head),
         [h0, chars, tag, prev, *lstm, *attention, *head]))
 
-    # parser scorer with the margin hinge loss (loss #1)
+    # parser scorer with the fused margin hinge loss (loss #1): two states of
+    # a 2-token sentence that read the root, both tokens and the empty slot
     tb = treebank_from_sentences("s", [["aa", "bb"]])
     vocab = Vocabulary.build(tb.sentences)
     cfg = ParserConfig(
@@ -253,17 +260,18 @@ def test_criterion_04_gradient_checks_every_layer():
     )
     parser = DependencyParser(cfg, ParserHeader(["dep", "root"], [], 9, vocab))
     sent = tb.sentences[0]
-    state = ParserState.initial(2)
-    state = apply_transition(state, Transition(SHIFT))
+    initial = ParserState.initial(2)
+    states = [initial, apply_transition(initial, Transition(SHIFT))]
 
-    def hinge_loss():
+    def margin_loss():
         encodings, _ = parser.encoder.encode_sentence(sent, MODE_NONE)
-        scores = parser.score_transitions(state, parser.scorer_slots(encodings))
-        return T.hinge(scores, [0, 3, 4], [2])
+        slots, _ = parser.scorer_slots(encodings)
+        return T.transition_margins(slots, parser.hidden.w, parser.hidden.b, parser.out.w,
+                                    parser.out.b, [slot_ids(s) for s in states], [3, 4], [0, 2])
 
     scorer_params = [parser.hidden.w, parser.hidden.b, parser.out.w, parser.out.b,
-                     parser.special.table]
-    worst = max(worst, finite_difference_check(hinge_loss, scorer_params))
+                     parser.special.table, parser.encoder.word_emb.table]
+    worst = max(worst, finite_difference_check(margin_loss, scorer_params))
 
     # softmax cross-entropy through the encoder stack (loss #2)
     encoder_params = [parser.encoder.word_emb.table, parser.encoder.char_emb.table]

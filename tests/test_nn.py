@@ -57,7 +57,8 @@ def test_non_scalar_backward_rejected():
     "op_name",
     ["add", "mul", "matvec", "affine", "vecmat", "matmat", "dot", "concat",
      "concat_matrix", "stack", "row", "tanh", "softmax", "add_rowvec",
-     "hinge", "cross_entropy", "total", "narrow", "vsum", "lemma_sequence"],
+     "cross_entropy", "total", "narrow", "vsum", "lemma_sequence", "transition_margins",
+     "transition_margin_single"],
 )
 def test_finite_difference_per_op(op_name):
     r = np.random.default_rng(7)
@@ -69,6 +70,11 @@ def test_finite_difference_per_op(op_name):
     probe4 = constant(r.uniform(-1, 1, size=4))
     c = random_param(r, "c", (3,))
     h0, chars, tag, prev, lstm, att, head = R.random_lemma_inputs(np.random.default_rng(8), 3, 4)
+    # a 3-token sentence's 5 slots (root 0, tokens 1-3, empty slot -1) of width 2,
+    # read at 4 positions by a 3-unit hidden layer, scoring 5 transitions
+    slots = random_param(r, "slots", (5, 2))
+    scorer = [random_param(r, "hidden.w", (3, 8)), random_param(r, "hidden.b", (3,)),
+              random_param(r, "out.w", (5, 3)), random_param(r, "out.b", (5,))]
 
     builders = {
         "add": (lambda: dot(add(a, b), probe4), [a, b]),
@@ -87,7 +93,6 @@ def test_finite_difference_per_op(op_name):
         "tanh": (lambda: dot(T.tanh(a), probe4), [a]),
         "softmax": (lambda: dot(R.softmax(a), probe4), [a]),
         "add_rowvec": (lambda: dot(R.matvec(R.add_rowvec(m, b), a), probe), [m, b, a]),
-        "hinge": (lambda: T.hinge(T.tanh(a), [0, 2], [1, 3]), [a]),
         "cross_entropy": (lambda: T.cross_entropy(R.matvec(m, a), 1), [m, a]),
         "total": (lambda: T.total([dot(a, b), T.cross_entropy(R.matvec(m, a), 1), dot(c, probe)]),
                   [a, b, m, c]),
@@ -96,6 +101,18 @@ def test_finite_difference_per_op(op_name):
         "lemma_sequence": (
             lambda: T.lemma_sequence(h0, chars, tag, prev, [1, 3, 3, 0], lstm, att, head),
             [h0, chars, tag, prev, *lstm, *att, *head],
+        ),
+        # the empty slot at several positions, the root slot, and slots that
+        # several margins share, through a tanh so the slot grads pass on
+        "transition_margins": (
+            lambda: T.transition_margins(T.tanh(slots), *scorer,
+                                         [[1, 0, -1, 2], [2, -1, -1, 3], [3, 2, 0, -1]],
+                                         [0, 4, 2], [3, 1, 4]),
+            [slots, *scorer],
+        ),
+        "transition_margin_single": (
+            lambda: T.transition_margins(slots, *scorer, [[0, -1, -1, 1]], [2], [0]),
+            [slots, *scorer],
         ),
     }
     build, params = builders[op_name]
@@ -166,13 +183,7 @@ def test_every_name_a_src_module_imports_is_read_in_it():
     assert unread == []
 
 
-def test_hinge_ties_go_to_the_lowest_index_and_total_folds_left_to_right():
-    scores = Parameter("scores", np.array([0.5, 2.0, 2.0, -1.0, -1.0]))
-    margin = T.hinge(scores, [2, 1], [4, 3])
-    assert float(margin.data) == 4.0
-    T.total([margin, margin]).backward()  # margin's grad g is 2
-    assert np.array_equal(scores.grad, [0.0, 2.0, 0.0, -2.0, 0.0])
-
+def test_total_folds_left_to_right():
     cancelling = [constant(v) for v in (1e16, 1.0, -1e16, 1.0)]
     assert float(T.total(cancelling).data) == 1.0  # exact sum is 2
     values = np.random.default_rng(0).standard_normal(40)
@@ -183,8 +194,30 @@ def test_hinge_ties_go_to_the_lowest_index_and_total_folds_left_to_right():
     assert T.total([constant(v) for v in values]).data.tobytes() == np.float64(fold).tobytes()
     with pytest.raises(DataError):
         T.total([])
-    with pytest.raises(DataError):
-        T.hinge(scores, [], [0])
+
+
+def test_transition_margins_value_and_rejected_inputs():
+    r = np.random.default_rng(4)
+    slots = random_param(r, "slots", (5, 2))
+    w, b = random_param(r, "w", (3, 8)), random_param(r, "b", (3,))
+    w_out, b_out = random_param(r, "w_out", (5, 3)), random_param(r, "b_out", (5,))
+    ids, costly, zero = [[1, 0, -1, 2], [4, 3, 0, -1]], [0, 4], [3, 1]
+    hidden = np.tanh(b.data + np.concatenate([slots.data[i] for i in ids[1]]) @ w.data.T)
+    scores = w_out.data @ hidden + b_out.data
+    margins = T.transition_margins(slots, w, b, w_out, b_out, ids, costly, zero)
+    single = T.transition_margins(slots, w, b, w_out, b_out, ids[:1], costly[:1], zero[:1])
+    expected = float(single.data) + 1.0 + (scores[4] - scores[1])
+    assert float(margins.data) == pytest.approx(expected, rel=1e-14)
+    for bad_ids, bad_costly, bad_zero in [
+        ([], [], []),  # no margin
+        ([[1, 0, -1]], [0], [3]),  # three positions for a four-block weight
+        ([[1, 0, 5, 2]], [0], [3]),  # slot 5 of 5
+        ([[1, 0, -6, 2]], [0], [3]),
+        ([[1, 0, -1, 2]], [0, 1], [3]),  # two costly indices for one margin
+        ([[1, 0, -1, 2]], [3], [3]),  # costly == zero-cost
+    ]:
+        with pytest.raises(DataError):
+            T.transition_margins(slots, w, b, w_out, b_out, bad_ids, bad_costly, bad_zero)
 
 
 def test_lstm_cell_gradcheck():

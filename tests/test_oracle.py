@@ -24,7 +24,13 @@ from .bruteforce import (
     exhaustive_costs,
     policy_allowed,
 )
-from .helpers import is_projective, oracle_costs, random_projective_tree, random_tree
+from .helpers import (
+    NoSwapOracle,
+    is_projective,
+    oracle_costs,
+    random_projective_tree,
+    random_tree,
+)
 
 
 def make_transition(kind, label="dep"):
@@ -34,7 +40,7 @@ def make_transition(kind, label="dep"):
 def follow_oracle(gold, use_swap=True, chooser=None, step_bound_factor=4):
     """Run min-cost (zero-cost preferred) transitions to termination."""
     state = ParserState.initial(len(gold))
-    oracle = DynamicOracle(gold, use_swap=use_swap)
+    oracle = DynamicOracle(gold) if use_swap else NoSwapOracle(gold)
     taken = []
     bound = step_bound_factor * len(gold) ** 2 + 50
     while not state.is_terminal():

@@ -6,18 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisrc.conllu import Sentence, Treebank
-from multisrc.encoder import MODE_NONE, EncoderConfig
+from multisrc.encoder import MODE_NONE, EncoderConfig, Vocabulary
 from multisrc.errors import DataError, NumericError
 from multisrc.metrics import las
 from multisrc.nn import TrainerConfig
+from multisrc.nn import tensor as T
 from multisrc.nn.checkpoint import load_checkpoint, load_network, save_checkpoint, save_network
-from multisrc.parser_model import DependencyParser, ParserConfig, ParserHeader, train_parser
+from multisrc.parser_model import (
+    DependencyParser,
+    ParserConfig,
+    ParserHeader,
+    best_index,
+    train_parser,
+)
 from multisrc.trees import DependencyTree
 from multisrc.transitions import LEFT_ARC, RIGHT_ARC, SHIFT, SWAP, ParserState
 
-from .helpers import sentence_from_words, treebank_from_sentences
+from .helpers import (
+    random_projective_tree,
+    random_tree,
+    reference_sentence_pass,
+    sentence_from_words,
+    treebank_from_sentences,
+)
 
 SMALL = EncoderConfig(word_dim=12, char_dim=8, char_emb_dim=6, source_dim=4, hidden_dim=10)
+TINY = EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4, source_dim=2, hidden_dim=4)
 
 
 def toy_corpus():
@@ -51,11 +65,84 @@ def test_score_vector_shape_and_determinism():
     sent = tb.sentences[0]
     encodings, _ = model.encoder.encode_sentence(sent, MODE_NONE)
     slots = model.scorer_slots(encodings)
+    assert slots[0].shape == (len(sent) + 2, model.config.encoder.output_dim)
+    assert slots[1].shape == (4, len(sent) + 2, model.config.scorer_hidden)
     state = ParserState.initial(len(sent))
     scores = model.score_transitions(state, slots)
-    assert scores.data.shape == (2 * len(model.labels) + 2,)
-    again = model.score_transitions(state, slots)
-    assert np.array_equal(scores.data, again.data)
+    assert type(scores) is np.ndarray  # plain scores: no graph node
+    assert scores.shape == (2 * len(model.labels) + 2,)
+    assert np.array_equal(scores, model.score_transitions(state, slots))
+
+
+def test_best_index_ties_go_to_the_lowest_index():
+    scores = np.array([0.5, 2.0, 2.0, -1.0, -1.0])
+    assert best_index(scores, [2, 1]) == 1
+    assert best_index(scores, [4, 3]) == 3
+    assert best_index(scores, [0, 4]) == 0
+
+
+def agreement_model(gold: DependencyTree, seed: int) -> tuple[DependencyParser, tuple]:
+    words = [f"w{i % 7}" for i in range(len(gold))]
+    sentence = sentence_from_words(words, heads=list(gold.heads), deprels=list(gold.deprels))
+    model = DependencyParser(ParserConfig(encoder=TINY, scorer_hidden=6),
+                             ParserHeader(["arg", "dep", "mod"], [], seed, Vocabulary.build([sentence])))
+    return model, (sentence, gold)
+
+
+def fused_and_reference_grads(model, item):
+    """The summed margins and every parameter's grad, from `sentence_losses`
+    in epoch 0 and from the per-transition reference pass."""
+    out = []
+    for run in ("fused", "reference"):
+        for p in model.params.all():
+            p.zero_grad()
+        if run == "fused":
+            losses = model.sentence_losses(item, MODE_NONE, np.random.default_rng(0), 0)
+            loss = T.total(losses) if losses else None
+        else:
+            _, loss = reference_sentence_pass(model, item, MODE_NONE)
+        if loss is not None:
+            loss.backward()
+        out.append((None if loss is None else float(loss.data),
+                    {p.name: p.grad.copy() for p in model.params.all()}))
+    return out
+
+
+@given(n=st.integers(min_value=1, max_value=40), projective=st.booleans(),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_fused_scorer_and_margins_agree_with_the_per_transition_reference(n, projective, rng):
+    gold = random_projective_tree(n, rng) if projective else random_tree(n, rng)
+    model, item = agreement_model(gold, rng.randrange(1000))
+    visited, _ = reference_sentence_pass(model, item, MODE_NONE)
+    encodings, _ = model.encoder.encode_sentence(item[0], MODE_NONE)
+    slots = model.scorer_slots(encodings)
+    for state, reference in visited:
+        scores = model.score_transitions(state, slots)
+        assert np.abs(scores - reference).max() <= 1e-12 * np.abs(reference).max()
+    (fused_loss, fused), (reference_loss, reference) = fused_and_reference_grads(model, item)
+    if reference_loss is None:
+        assert fused_loss is None
+        return
+    assert abs(fused_loss - reference_loss) <= 1e-10 * max(1.0, abs(reference_loss))
+    for name, grad in reference.items():
+        assert np.abs(fused[name] - grad).max() <= 1e-10 * max(1.0, np.abs(grad).max()), name
+
+
+@pytest.mark.parametrize("bias", [[0.0] * 8, [1.0, 1.0, 0.5, 0.5, 0.5, -1.0, 2.0, 2.0]])
+def test_margin_selection_ties_go_to_the_lowest_index(bias):
+    # with a zero output weight every state scores the bias, so a margin's
+    # costly and zero-cost indices are picked from tied scores; the reference
+    # hinge picks the lowest index of a tie, and the out.b grads, a sum of
+    # +1 at each margin's costly and -1 at its zero-cost index, must match
+    rng = random.Random(5)
+    for n in (2, 5, 9):
+        model, item = agreement_model(random_tree(n, rng), 3)
+        model.out.w.data[:] = 0.0
+        model.out.b.data[:] = bias
+        (fused_loss, fused), (reference_loss, reference) = fused_and_reference_grads(model, item)
+        assert reference_loss is not None and fused_loss == reference_loss
+        assert np.array_equal(fused["scorer_out.b"], reference["scorer_out.b"])
 
 
 def test_transition_index_roundtrip():
@@ -91,7 +178,6 @@ def test_untrained_parse_always_valid_tree():
         assert len(tree) == n  # DependencyTree validates structure on build
 
 
-TINY = EncoderConfig(word_dim=4, char_dim=4, char_emb_dim=4, source_dim=2, hidden_dim=4)
 _form = st.sampled_from(["the", "cat", "dog"]) | st.text(alphabet="abxyz_", min_size=1, max_size=6)
 
 
