@@ -28,7 +28,8 @@ class Token:
     morph: set[str] = field(default_factory=set)
     head: int | None = None
     deprel: str = ""
-    misc: dict[str, str] = field(default_factory=dict)
+    # a bare MISC entry (no "=") maps to None and is written back bare
+    misc: dict[str, str | None] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.id < 1:
@@ -184,8 +185,10 @@ def parse_conllu(text: str, source_id: str | None = None, split: str = "train") 
         misc = {}
         if cols[9] != _EMPTY:
             for entry in cols[9].split("|"):
-                key, _, value = entry.partition("=")
-                misc[key] = value
+                key, equals, value = entry.partition("=")
+                if not equals and key == SOURCE_MISC_KEY:
+                    raise ConlluParseError(f"MISC entry {key!r} without a dataset id", line_no)
+                misc[key] = value if equals else None
         try:
             tok = Token(
                 id=token_id,
@@ -215,7 +218,8 @@ def write_token(tok: Token, extra_misc: dict[str, str] | None = None) -> str:
     if extra_misc:
         misc.update(extra_misc)
     # deterministic serialization: lexicographic key / entry order
-    misc_col = "|".join(f"{k}={misc[k]}" for k in sorted(misc)) if misc else _EMPTY
+    misc_col = "|".join(k if misc[k] is None else f"{k}={misc[k]}"
+                        for k in sorted(misc)) if misc else _EMPTY
     feats_col = "|".join(sorted(tok.morph)) if tok.morph else _EMPTY
     head_col = _EMPTY if tok.head is None else str(tok.head)
     return "\t".join(

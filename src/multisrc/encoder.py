@@ -2,14 +2,16 @@
 
 Per token: a character BiLSTM summary concatenated with a learned word
 embedding, and — in gold/pred modes — the data-source embedding e(d) of
-the sentence's (gold or predicted) source.  A sentence-level BiLSTM over
-these inputs yields the contextual encodings consumed by the parser and
-the tagger.
+the sentence's (gold or predicted) source, as one row of the sentence's
+input matrix.  A sentence-level BiLSTM over it yields the matrix of
+contextual encodings that the parser and the tagger read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .conllu import Sentence
 from .errors import DataError
@@ -107,10 +109,11 @@ class DatasetEmbeddingTable:
         self.index = {m: i for i, m in enumerate(self.members)}
         self.emb = Embedding(params, "source_emb", len(self.members), dim)
 
-    def lookup(self, source_id: str) -> Tensor:
+    def rows_for(self, source_id: str, count: int) -> Tensor:
+        """e(source_id) as the `count` rows of one (count, dim) matrix."""
         if source_id not in self.index:
             raise DataError(f"source {source_id!r} is not a member of this model's group")
-        return self.emb(self.index[source_id])
+        return self.emb.rows([self.index[source_id]] * count)
 
     def rows(self):
         """(members, matrix) snapshot for export and analysis."""
@@ -157,14 +160,6 @@ class SentenceEncoder:
         fwd, bwd = self.char_bilstm.directions(embs)
         return T.concat([fwd, bwd]), T.concat([T.row(fwd, -1), T.row(bwd, 0)])
 
-    def embed_word(self, form: str) -> tuple[Tensor, Tensor]:
-        """Per-character encodings, and char summary ++ word embedding.
-
-        Unseen forms hit the UNK word row.
-        """
-        per_char, summary = self.char_sequence(form)
-        return per_char, T.concat([summary, self.word_emb(self.vocab.word_id(form))])
-
     # -- sentence channel ------------------------------------------------------
 
     def _source_for(self, sentence: Sentence, mode: str) -> str:
@@ -176,26 +171,27 @@ class SentenceEncoder:
             raise DataError("pred mode requires sentence.predicted_source_id")
         return sentence.predicted_source_id
 
-    def token_inputs(self, sentence: Sentence, mode: str) -> tuple[list[Tensor], list[Tensor]]:
-        """Per token: the encoder input before the BiLSTM, and the per-character encodings."""
+    def token_inputs(self, sentence: Sentence, mode: str) -> tuple[Tensor, list[Tensor]]:
+        """The (n, d) encoder input before the BiLSTM, row i token i's char
+        summary ++ word embedding (UNK row for an unseen form) ++ e(d) in gold
+        and pred modes; and per token the per-character encodings."""
         if mode not in MODES:
             raise DataError(f"unknown encoder mode {mode!r}")
         if mode != MODE_NONE and not self.members:
             raise DataError(f"mode {mode!r} requires a model built with source embeddings")
-        embedded = [self.embed_word(tok.form) for tok in sentence.tokens]
-        chars = [per_char for per_char, _ in embedded]
-        word_parts = [word for _, word in embedded]
-        if mode == MODE_NONE:
-            return word_parts, chars
-        source_vec = self.source_table.lookup(self._source_for(sentence, mode))
-        return [T.concat([w, source_vec]) for w in word_parts], chars
+        encoded = [self.char_sequence(tok.form) for tok in sentence.tokens]
+        parts = [T.stack([summary for _, summary in encoded]),
+                 self.word_emb.rows([self.vocab.word_id(tok.form) for tok in sentence.tokens])]
+        if mode != MODE_NONE:
+            parts.append(self.source_table.rows_for(self._source_for(sentence, mode), len(encoded)))
+        return T.concat(parts), [per_char for per_char, _ in encoded]
 
-    def encode_sentence(self, sentence: Sentence, mode: str) -> tuple[list[Tensor], list[Tensor]]:
-        """Per token: the contextual encoding e(c_i) of width 2*hidden_dim, and
-        the (len(form), char_dim) per-character encodings.
+    def encode_sentence(self, sentence: Sentence, mode: str) -> tuple[Tensor, list[Tensor]]:
+        """The (n, 2*hidden_dim) contextual encodings, row i token i's e(c_i)
+        (a (0, 2*hidden_dim) leaf for a sentence without tokens), and per
+        token the (len(form), char_dim) per-character encodings.
         """
         if not sentence.tokens:
-            return [], []
+            return Tensor(np.zeros((0, self.config.output_dim))), []
         inputs, chars = self.token_inputs(sentence, mode)
-        states = self.sentence_bilstm.run(T.stack(inputs))
-        return [T.row(states, i) for i in range(len(inputs))], chars
+        return self.sentence_bilstm.run(inputs), chars

@@ -1,18 +1,19 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Every operation builds a node recording its parents and a closure that
-accumulates gradients into them.  Graphs are per-sentence and small, so
-clarity and determinism win over batching: one op call = one node.
-Composite ops carry an analytic backward so that the pieces the models
-repeat most are one node each: `lstm_sequence` runs a whole encoder LSTM
+accumulates gradients into them.  A sentence moves through its graph as
+matrices with one row per token, so one op call is one node for the whole
+sentence: `stack` joins vectors and matrices row by row, `affine` is a
+layer's `w @ x + b` on a vector or on each row of a matrix, and
+`cross_entropy` sums the losses of a logit matrix's rows.  Composite ops
+carry an analytic backward: `lstm_sequence` runs a whole encoder LSTM
 (every char and sentence BiLSTM direction), `lemma_sequence` a whole
 teacher-forced lemma through the attention decoder (LSTM, attention,
-output head and the summed cross-entropies), `affine` is a layer's
-`w @ x + b`, `transition_margins` sums every violated margin of one
-parser sentence, and `total` sums a sentence's scalar losses.  Greedy lemma
-decoding builds no graph: it steps `LSTM.step` and `lemma_logits` on plain
-arrays; the parser scores its transitions with `slot_projection` and
-`slot_hidden` on plain arrays too.
+output head and the summed cross-entropies), `transition_margins` sums
+every violated margin of one parser sentence, and `total` sums a
+sentence's scalar losses.  Greedy lemma decoding steps `LSTM.step` and
+`lemma_logits` on plain arrays, and the parser scores its transitions with
+`slot_projection` and `slot_hidden` on plain arrays: neither builds a graph.
 """
 
 from __future__ import annotations
@@ -101,16 +102,17 @@ def _node(data, parents, backward) -> Tensor:
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """`w @ x + b` as one node."""
-    if w.data.ndim != 2 or w.data.shape != (b.data.shape[0], x.data.shape[0]):
+    """`w @ x + b` as one node; on an (n, d) matrix `x`, row i is `w @ x[i] + b`."""
+    if w.data.ndim != 2 or x.data.ndim > 2 or w.data.shape != (b.data.shape[0], x.data.shape[-1]):
         raise DataError(f"affine shape mismatch {w.data.shape} @ {x.data.shape} + {b.data.shape}")
 
     def backward(g):
-        w._accumulate(np.outer(g, x.data))
-        x._accumulate(w.data.T @ g)
-        b._accumulate(g)
+        rows = g.reshape(-1, g.shape[-1])
+        w._accumulate(rows.T @ x.data.reshape(len(rows), -1))
+        x._accumulate(g @ w.data)
+        b._accumulate(rows.sum(axis=0))
 
-    return _node(w.data @ x.data + b.data, (w, x, b), backward)
+    return _node(x.data @ w.data.T + b.data, (w, x, b), backward)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -127,15 +129,17 @@ def concat(parts: list[Tensor]) -> Tensor:
 
 
 def stack(parts: list[Tensor]) -> Tensor:
-    """Vectors of one width as the rows of a matrix."""
+    """The rows of its parts, one matrix: a vector is one row, an (m, d)
+    matrix m rows (none for m = 0)."""
     if not parts:
         raise DataError("stack of zero tensors")
+    offsets = list(accumulate([1 if p.data.ndim == 1 else len(p.data) for p in parts], initial=0))
 
     def backward(g):
-        for part, g_row in zip(parts, g):
-            part._accumulate(g_row)
+        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            part._accumulate(g[lo:hi].reshape(part.data.shape))
 
-    return _node(np.stack([p.data for p in parts]), parts, backward)
+    return _node(np.vstack([p.data for p in parts]), parts, backward)
 
 
 def row(m: Tensor, index: int) -> Tensor:
@@ -158,20 +162,23 @@ def tanh(t: Tensor) -> Tensor:
     return _node(out, (t,), backward)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Softmax cross-entropy against a single target index."""
+def cross_entropy(logits: Tensor, targets: list[int]) -> Tensor:
+    """Softmax cross-entropy of each row of the (n, V) `logits` against its
+    target index, summed."""
     z = logits.data
-    if not 0 <= target < z.shape[0]:
-        raise DataError(f"cross_entropy target {target} out of range {z.shape[0]}")
-    zmax = z.max()
-    lse = zmax + np.log(np.exp(z - zmax).sum())
+    if z.ndim != 2 or len(targets) != len(z) or not all(0 <= t < z.shape[1] for t in targets):
+        raise DataError(f"cross_entropy needs one target in range per row of {z.shape}, "
+                        f"got {targets}")
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    picked = (np.arange(len(z)), targets)
 
     def backward(g):
-        p = np.exp(z - lse)
-        p[target] -= 1.0
+        p = np.exp(z - lse[:, None])
+        p[picked] -= 1.0
         logits._accumulate(g * p)
 
-    return _node(lse - z[target], (logits,), backward)
+    return _node((lse - z[picked]).sum(), (logits,), backward)
 
 
 def total(parts: list[Tensor]) -> Tensor:

@@ -114,13 +114,13 @@ class DependencyParser:
 
     # -- scoring ------------------------------------------------------------
 
-    def scorer_slots(self, encodings: list[T.Tensor]) -> tuple[T.Tensor, np.ndarray]:
+    def scorer_slots(self, states: T.Tensor) -> tuple[T.Tensor, np.ndarray]:
         """The scorer's inputs for one sentence: the (n+2, enc_dim) slot
-        matrix, one row per token id (the root vector at 0, the encodings at
-        1..n and the empty-slot vector at -1, row n+1), and its projection
-        through the hidden layer's per-position weight blocks, a plain
-        (STACK_SLOTS+1, n+2, scorer_hidden) array."""
-        slots = T.stack([self.special(0), *encodings, self.special(1)])
+        matrix, one row per token id (the root vector at 0, the rows of the
+        (n, enc_dim) `states` at 1..n and the empty-slot vector at -1, row
+        n+1), and its projection through the hidden layer's per-position
+        weight blocks, a plain (STACK_SLOTS+1, n+2, scorer_hidden) array."""
+        slots = T.stack([self.special(0), states, self.special(1)])
         return slots, T.slot_projection(slots.data, self.hidden.w.data)
 
     def score_transitions(self, state: ParserState, slots: tuple[T.Tensor, np.ndarray]) -> np.ndarray:
@@ -134,8 +134,8 @@ class DependencyParser:
 
     def parse_sentence(self, sentence: Sentence, mode: str = MODE_NONE) -> DependencyTree:
         """Greedy argmax over legal transitions; total by construction."""
-        encodings, _ = self.encoder.encode_sentence(sentence, mode)
-        slots = self.scorer_slots(encodings)
+        states, _ = self.encoder.encode_sentence(sentence, mode)
+        slots = self.scorer_slots(states)
         state = ParserState.initial(len(sentence.tokens))
         while not state.is_terminal():
             scores = self.score_transitions(state, slots)
@@ -164,8 +164,8 @@ class DependencyParser:
         allows, so oracle costs stay exact along every visited trajectory."""
         sentence, gold = item
         oracle = DynamicOracle(gold)
-        encodings, _ = self.encoder.encode_sentence(sentence, mode)
-        slots = self.scorer_slots(encodings)
+        states, _ = self.encoder.encode_sentence(sentence, mode)
+        slots = self.scorer_slots(states)
         state = ParserState.initial(len(gold))
         ids, costly, zero = [], [], []
         explore = epoch >= EXPLORE_BURNIN_EPOCHS

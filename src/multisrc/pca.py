@@ -14,8 +14,10 @@ def pca_project(matrix: np.ndarray, n_components: int = 2):
 
     Mean-centers, eigendecomposes the sample covariance, orders components
     by descending eigenvalue, and fixes signs so each component's
-    largest-magnitude entry is positive.  Returns (coordinates,
-    components, eigenvalues) with components as rows.
+    largest-magnitude entry is positive.  A component at or beyond the
+    rank of the centred rows spans no variance, so its coordinates are set
+    to exactly 0.0 rather than left as rounding noise.  Returns
+    (coordinates, components, eigenvalues) with components as rows.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
@@ -33,6 +35,7 @@ def pca_project(matrix: np.ndarray, n_components: int = 2):
         if components[i, anchor] < 0:
             components[i] = -components[i]
     coordinates = centered @ components.T
+    coordinates[:, np.linalg.matrix_rank(centered):] = 0.0
     return coordinates, components, values
 
 

@@ -88,6 +88,8 @@ class Registry:
         self.sources[source.source_id] = source
 
     def add_group(self, group: DatasetGroup):
+        if group.group_id in self.groups:
+            raise DataError(f"duplicate group id {group.group_id!r}")
         for member in group.members:
             if member not in self.sources:
                 raise DataError(f"group {group.group_id!r}: unregistered member {member!r}")

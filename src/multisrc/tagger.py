@@ -1,10 +1,10 @@
 """Joint morphological tagging and lemmatization over the shared encoder.
 
-Tags are whole feature bundles classified per token from the contextual
-encoding.  Lemmas are decoded character by character by an attention
-decoder over the form's character encodings, with the bundle's tag
-embedding concatenated to every decoder input (gold bundle while
-training, predicted bundle at inference).
+Tags are whole feature bundles, classified by one affine layer over the
+sentence's encoding matrix.  Lemmas are decoded character by character by an
+attention decoder over the form's character encodings, with the bundle's tag
+embedding concatenated to every decoder input (gold bundle while training,
+predicted bundle at inference).
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ class JointTagger:
             self.params, "lemma_out", config.decoder_hidden + char_enc_dim, len(self.lemma_chars) + 1
         )
 
-    # -- tagging -----------------------------------------------------------
-
-    def tag_logits(self, encodings):
-        return [self.tag_head(e) for e in encodings]
-
     # -- lemmatization ---------------------------------------------------------
 
     def _decoder_params(self):
@@ -136,8 +131,9 @@ class JointTagger:
     def decode_lemma(self, token_encoding, char_encodings, form: str, bundle: str) -> str:
         """Greedy decode until EOS or the hard length cap 2*|form|+8.
 
-        `char_encodings` are the form's per-character encodings from the
-        sentence's `encode_sentence` pass.  Decoding reads only values, so
+        `token_encoding` is the token's plain row of the sentence's encodings
+        and `char_encodings` the form's per-character encodings, both from
+        the sentence's `encode_sentence` pass.  Decoding reads only values, so
         it builds no graph: each step is `LSTM.step` and `T.lemma_logits`
         on plain arrays.
         """
@@ -149,7 +145,7 @@ class JointTagger:
         chars = char_encodings.data
         keys = chars @ w_enc.data.T
         tag = self.tag_emb.table.data[self.bundle_index[bundle]]
-        h = np.tanh(self.dec_init.w.data @ token_encoding.data + self.dec_init.b.data)
+        h = np.tanh(self.dec_init.w.data @ token_encoding + self.dec_init.b.data)
         c = np.zeros_like(h)
         prev = 0  # begin-of-sequence
         lemma = []
@@ -184,15 +180,11 @@ class JointTagger:
         """(bundle, lemma) per token, lemma conditioned on the predicted tag."""
         if not sentence.tokens:
             return []
-        encodings, chars = self.encoder.encode_sentence(sentence, mode)
-        output = []
-        for tok, encoding, char_encodings, logits in zip(
-            sentence.tokens, encodings, chars, self.tag_logits(encodings)
-        ):
-            bundle = self.bundles[int(np.argmax(logits.data))]
-            lemma = self.decode_lemma(encoding, char_encodings, tok.form, bundle)
-            output.append((bundle, lemma))
-        return output
+        states, chars = self.encoder.encode_sentence(sentence, mode)
+        bundles = [self.bundles[i] for i in np.argmax(self.tag_head(states).data, axis=1)]
+        return [(bundle, self.decode_lemma(encoding, char_encodings, tok.form, bundle))
+                for tok, encoding, char_encodings, bundle
+                in zip(sentence.tokens, states.data, chars, bundles)]
 
     def annotate_treebank(self, treebank: Treebank, mode: str) -> Treebank:
         out = []
@@ -206,15 +198,14 @@ class JointTagger:
 
     def sentence_losses(self, sentence: Sentence, mode: str, rng: np.random.Generator,
                         epoch: int) -> list[T.Tensor]:
-        """Each token's tag cross-entropy, then its lemma loss if it has a
-        lemma; `rng` and `epoch` are unused."""
-        encodings, chars = self.encoder.encode_sentence(sentence, mode)
-        losses = []
-        for tok, encoding, char_encodings in zip(sentence.tokens, encodings, chars):
-            gold_bundle = bundle_string(tok.morph)
-            losses.append(T.cross_entropy(self.tag_head(encoding), self.bundle_index[gold_bundle]))
+        """The summed tag cross-entropy of the sentence's tokens, then the
+        lemma loss of each token with a lemma; `rng` and `epoch` are unused."""
+        states, chars = self.encoder.encode_sentence(sentence, mode)
+        bundles = [bundle_string(tok.morph) for tok in sentence.tokens]
+        losses = [T.cross_entropy(self.tag_head(states), [self.bundle_index[b] for b in bundles])]
+        for i, (tok, char_encodings, bundle) in enumerate(zip(sentence.tokens, chars, bundles)):
             if tok.lemma:
-                losses.append(self.lemma_loss(encoding, char_encodings, tok.lemma, gold_bundle))
+                losses.append(self.lemma_loss(T.row(states, i), char_encodings, tok.lemma, bundle))
         return losses
 
 

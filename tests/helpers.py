@@ -1,19 +1,22 @@
 """Shared builders used across tests: small synthetic treebanks, random
 gold trees, a projectivity test, a one-shot oracle cost query, the oracle
 without SWAP, the dense Adam step that `Optimizer.step` must match bit for
-bit, and the per-transition parser scorer and hinge loss that the fused
-slot-projection scorer must agree with."""
+bit, the per-token encoder and tagger losses that the sentence-matrix ones
+must agree with, and the per-transition parser scorer and hinge loss that
+the fused slot-projection scorer must agree with."""
 
 import heapq
 
 import numpy as np
 
 from multisrc.conllu import Sentence, Token, Treebank
+from multisrc.encoder import MODE_GOLD, MODE_NONE
 from multisrc.errors import DataError, NumericError
 from multisrc.nn import tensor as T
 from multisrc.nn.optim import BETA1, BETA2, EPS
 from multisrc.oracle import DynamicOracle
 from multisrc.parser_model import _choose_transition, _partition_indices, slot_ids
+from multisrc.tagger import bundle_string
 from multisrc.transitions import ParserState, apply_transition
 from multisrc.trees import ROOT, DependencyTree
 
@@ -172,10 +175,62 @@ def dense_adam_reference(optimizer):
         p.zero_grad()
 
 
+def embed_word(encoder, form: str) -> tuple[T.Tensor, T.Tensor]:
+    """A form's per-character encodings, and its char summary ++ word
+    embedding as one vector: a row of `token_inputs`' matrix, one token at
+    a time."""
+    per_char, summary = encoder.char_sequence(form)
+    return per_char, T.concat([summary, encoder.word_emb(encoder.vocab.word_id(form))])
+
+
+def reference_encodings(encoder, sentence: Sentence, mode: str) -> tuple[list, list]:
+    """`encode_sentence` one token at a time: each token's input vector
+    joined to e(d) (one lookup shared by every token) in gold and pred
+    modes, the sentence BiLSTM over their stack, and its states as one `row`
+    node per token.  Returns those rows and the per-character encodings."""
+    embedded = [embed_word(encoder, tok.form) for tok in sentence.tokens]
+    inputs = [word for _, word in embedded]
+    if mode != MODE_NONE:
+        table = encoder.source_table
+        source_id = sentence.source_id if mode == MODE_GOLD else sentence.predicted_source_id
+        source = table.emb(table.index[source_id])
+        inputs = [T.concat([word, source]) for word in inputs]
+    states = encoder.sentence_bilstm.run(T.stack(inputs))
+    return [T.row(states, i) for i in range(len(inputs))], [per_char for per_char, _ in embedded]
+
+
+def reference_cross_entropy(logits: T.Tensor, target: int) -> T.Tensor:
+    """Softmax cross-entropy of one logit vector against one target index."""
+    z = logits.data
+    zmax = z.max()
+    lse = zmax + np.log(np.exp(z - zmax).sum())
+
+    def backward(g):
+        p = np.exp(z - lse)
+        p[target] -= 1.0
+        logits._accumulate(g * p)
+
+    return T.Tensor(lse - z[target], (logits,), backward)
+
+
+def reference_tagger_losses(model, sentence: Sentence, mode: str) -> list[T.Tensor]:
+    """`JointTagger.sentence_losses` one token at a time, on
+    `reference_encodings`: each token's tag cross-entropy from its own
+    `affine` node, then its lemma loss if it has a lemma."""
+    encodings, chars = reference_encodings(model.encoder, sentence, mode)
+    losses = []
+    for tok, encoding, per_char in zip(sentence.tokens, encodings, chars):
+        bundle = bundle_string(tok.morph)
+        losses.append(reference_cross_entropy(model.tag_head(encoding), model.bundle_index[bundle]))
+        if tok.lemma:
+            losses.append(model.lemma_loss(encoding, per_char, tok.lemma, bundle))
+    return losses
+
+
 def reference_scores(model, state: ParserState, encodings: list) -> T.Tensor:
     """The parser's scores before slot projection: the four slot vectors
     joined by `concat`, then affine, tanh and affine, one graph per
-    transition.  `encodings` are `encode_sentence`'s per-token rows."""
+    transition.  `encodings` are `reference_encodings`' per-token rows."""
     slots = [model.special(0), *encodings, model.special(1)]
     features = T.concat([slots[i] for i in slot_ids(state)])
     return model.out(T.tanh(model.hidden(features)))
@@ -200,14 +255,15 @@ def reference_hinge(scores: T.Tensor, costly: list[int], zero: list[int]) -> T.T
 
 
 def reference_sentence_pass(model, item, mode: str):
-    """`sentence_losses`'s pass in epoch 0, before exploration starts, scored by
-    `reference_scores` with one `reference_hinge` per violated margin.
+    """`sentence_losses`'s pass in epoch 0, before exploration starts, on
+    `reference_encodings` and scored by `reference_scores` with one
+    `reference_hinge` per violated margin.
     Returns the fused pass's inputs next to the reference: the visited
     (state, reference scores) pairs and the summed margins as one `total`
     node, or None when no margin is violated."""
     sentence, gold = item
     oracle = DynamicOracle(gold)
-    encodings, _ = model.encoder.encode_sentence(sentence, mode)
+    encodings, _ = reference_encodings(model.encoder, sentence, mode)
     state = ParserState.initial(len(gold))
     visited, margins = [], []
     while not state.is_terminal():

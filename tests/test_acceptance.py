@@ -278,8 +278,9 @@ def test_criterion_04_gradient_checks_every_layer():
 
     def ce_loss():
         encodings, _ = parser.encoder.encode_sentence(sent, MODE_NONE)
-        return T.cross_entropy(parser.hidden(T.concat(
-            [encodings[0], encodings[1], parser.special(0), parser.special(1)])), 2)
+        features = T.concat([T.row(encodings, 0), T.row(encodings, 1), parser.special(0),
+                             parser.special(1)])
+        return T.cross_entropy(parser.hidden(T.stack([features])), [2])
 
     worst = max(worst, finite_difference_check(ce_loss, encoder_params))
 

@@ -280,6 +280,22 @@ def test_unknown_group_is_one_line_data_error(tmp_path, capsys, verb):
     assert err == "error: DataError: unknown group 'nope'\n"
 
 
+def test_a_registry_that_repeats_a_group_id_is_one_line_data_error(tmp_path, capsys):
+    # a repeated source id is refused; a repeated group id used to replace
+    # the earlier group silently
+    registry = write_corpus(ambiguity_corpus(seed=2, n_conflict_train=2, n_shared_train=2,
+                                             n_conflict_dev=1, n_shared_dev=1),
+                            tmp_path / "data", group_id="amb")
+    config = json.loads(registry.read_text())
+    config["groups"].append({**config["groups"][0], "members": config["groups"][0]["members"][:1]})
+    registry.write_text(json.dumps(config))
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(experiment_json())
+    code, _, err = run(["group", "--config", str(exp), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == "error: DataError: duplicate group id 'amb'\n"
+
+
 def test_classify_without_config_is_one_line_usage_error(tmp_path, capsys):
     for action in ("train", "gridsearch", "jackknife"):
         code, _, err = run(["classify", action, "--out", str(tmp_path / "out")], capsys)

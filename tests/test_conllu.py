@@ -208,6 +208,19 @@ def test_misc_written_in_sorted_key_order():
     assert again.sentences[0].tokens[0].misc == {"dataset": "x", "SpaceAfter": "No"}
 
 
+def test_bare_misc_entry_is_written_back_bare():
+    text = "1\tx\t_\t_\t_\t_\t0\troot\t_\tBare|Gloss=|SpaceAfter=No\n\n"
+    tb = parse_conllu(text, "x")
+    assert tb.sentences[0].tokens[0].misc == {"Bare": None, "Gloss": "", "SpaceAfter": "No"}
+    assert write_conllu(tb) == text
+
+
+def test_bare_dataset_misc_entry_is_a_parse_error():
+    text = "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n\n1\ty\t_\t_\t_\t_\t0\troot\t_\tdataset\n\n"
+    with pytest.raises(ConlluParseError, match="^line 3: MISC entry 'dataset' without a dataset id$"):
+        parse_conllu(text)
+
+
 def test_multiple_roots_rejected():
     text = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
     with pytest.raises(ConlluParseError, match="multiple root"):
@@ -241,8 +254,8 @@ _feat = st.tuples(
     st.sampled_from(["A", "B", "C", "Plur", "Sing"]),
 ).map(lambda kv: f"{kv[0]}={kv[1]}")
 _misc_kv = st.tuples(
-    st.sampled_from(["SpaceAfter", "Gloss", "note"]),
-    st.text(alphabet="abcXYZ09", min_size=0, max_size=5),
+    st.sampled_from(["SpaceAfter", "Gloss", "note", "Bare"]),
+    st.text(alphabet="abcXYZ09", min_size=0, max_size=5) | st.none(),  # None: no "="
 )
 
 
@@ -275,7 +288,9 @@ def sentences(draw):
 @settings(max_examples=120, deadline=None)
 def test_roundtrip_identity_on_token_fields(sents):
     tb = Treebank(source_id="prop_src", sentences=sents)
-    again = parse_conllu(write_conllu(tb), "prop_src")
+    text = write_conllu(tb)
+    again = parse_conllu(text, "prop_src")
+    assert write_conllu(again) == text
     assert len(again) == len(tb)
     for s1, s2 in zip(tb.sentences, again.sentences):
         assert len(s1) == len(s2)

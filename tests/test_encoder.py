@@ -10,6 +10,7 @@ from multisrc.encoder import (
     SentenceEncoder,
     Vocabulary,
 )
+from multisrc.conllu import Sentence
 from multisrc.errors import DataError
 from multisrc.nn import Optimizer, ParamSet, TrainerConfig
 from multisrc.nn import tensor as T
@@ -29,38 +30,42 @@ def build(members=("src_a", "src_b"), cfg=CFG, seed=42):
     return encoder, params, vocab
 
 
-def test_embed_word_width_and_determinism():
-    encoder, _, _ = build()
-    per_char, rep = encoder.embed_word("cats")
-    assert per_char.data.shape == (4, CFG.char_dim)
-    assert rep.data.shape == (CFG.word_dim + CFG.char_dim,)
-    assert np.array_equal(rep.data, encoder.embed_word("cats")[1].data)
+def word_inputs(encoder, *forms):
+    """`token_inputs`' (n, d) rows for the forms as one sentence without
+    source conditioning."""
+    return encoder.token_inputs(sentence_from_words(list(forms)), MODE_NONE)
 
 
-def test_embed_word_rejects_empty_form():
+def test_token_inputs_width_and_determinism():
     encoder, _, _ = build()
-    with pytest.raises(DataError):
-        encoder.embed_word("")
+    rows, chars = word_inputs(encoder, "cats")
+    assert [c.data.shape for c in chars] == [(4, CFG.char_dim)]
+    assert rows.data.shape == (1, CFG.word_dim + CFG.char_dim)
+    assert np.array_equal(rows.data, word_inputs(encoder, "cats")[0].data)
+
+
+def test_char_sequence_rejects_an_empty_form():
+    # a Token refuses an empty form, so this guards direct callers only
+    encoder, _, _ = build()
+    with pytest.raises(DataError, match="empty form"):
+        encoder.char_sequence("")
 
 
 def test_unseen_form_uses_unk_word_row_but_char_channel():
     encoder, _, vocab = build()
     assert vocab.word_id("zzz") == 0
-    _, rep = encoder.embed_word("zzz")
-    word_slice = rep.data[CFG.char_dim :]
+    rep, same, known = word_inputs(encoder, "zzz", "qqq", "cat")[0].data
+    word_slice = rep[CFG.char_dim :]
     assert np.array_equal(word_slice, encoder.word_emb.table.data[0])
     # unknown chars all map to the UNK char id: same-length unknown forms
     # share a char channel, known chars give a different one
-    _, same = encoder.embed_word("qqq")
-    assert np.array_equal(rep.data[: CFG.char_dim], same.data[: CFG.char_dim])
-    _, known = encoder.embed_word("cat")
-    assert not np.array_equal(rep.data[: CFG.char_dim], known.data[: CFG.char_dim])
+    assert np.array_equal(rep[: CFG.char_dim], same[: CFG.char_dim])
+    assert not np.array_equal(rep[: CFG.char_dim], known[: CFG.char_dim])
 
 
 def test_distinct_forms_without_shared_chars_differ_in_char_channel():
     encoder, _, _ = build()
-    a = encoder.embed_word("cats")[1].data[: CFG.char_dim]
-    b = encoder.embed_word("dog")[1].data[: CFG.char_dim]
+    a, b = word_inputs(encoder, "cats", "dog")[0].data[:, : CFG.char_dim]
     assert np.abs(a - b).max() > 0
 
 
@@ -69,13 +74,14 @@ def test_mode_widths():
     sent = sentence_from_words(["cats", "sleep"], source_id="src_a")
     none_inputs, chars = encoder.token_inputs(sent, MODE_NONE)
     gold_inputs, _ = encoder.token_inputs(sent, MODE_GOLD)
-    assert none_inputs[0].data.shape == (CFG.token_input_dim,)
-    assert gold_inputs[0].data.shape == (CFG.token_input_dim + CFG.source_dim,)
+    assert none_inputs.data.shape == (2, CFG.token_input_dim)
+    assert gold_inputs.data.shape == (2, CFG.token_input_dim + CFG.source_dim)
     assert [c.data.shape for c in chars] == [(4, CFG.char_dim), (5, CFG.char_dim)]
-    encodings, chars = encoder.encode_sentence(sent, MODE_GOLD)
-    assert len(encodings) == 2
-    assert encodings[0].data.shape == (2 * CFG.hidden_dim,)
+    states, chars = encoder.encode_sentence(sent, MODE_GOLD)
+    assert states.data.shape == (2, 2 * CFG.hidden_dim)
     assert [c.data.shape for c in chars] == [(4, CFG.char_dim), (5, CFG.char_dim)]
+    states, chars = encoder.encode_sentence(Sentence(tokens=[]), MODE_GOLD)
+    assert states.data.shape == (0, 2 * CFG.hidden_dim) and chars == []
 
 
 def test_swapping_source_permutes_only_source_slice():
@@ -85,22 +91,22 @@ def test_swapping_source_permutes_only_source_slice():
     in_a, _ = encoder.token_inputs(sent_a, MODE_GOLD)
     in_b, _ = encoder.token_inputs(sent_b, MODE_GOLD)
     d = CFG.token_input_dim
-    for ta, tb in zip(in_a, in_b):
-        assert np.array_equal(ta.data[:d], tb.data[:d])  # word slice identical
-        assert not np.array_equal(ta.data[d:], tb.data[d:])  # e(d) differs
-        assert np.array_equal(ta.data[d:], encoder.source_table.emb.table.data[0])
-        assert np.array_equal(tb.data[d:], encoder.source_table.emb.table.data[1])
+    for ta, tb in zip(in_a.data, in_b.data):
+        assert np.array_equal(ta[:d], tb[:d])  # word slice identical
+        assert not np.array_equal(ta[d:], tb[d:])  # e(d) differs
+        assert np.array_equal(ta[d:], encoder.source_table.emb.table.data[0])
+        assert np.array_equal(tb[d:], encoder.source_table.emb.table.data[1])
 
 
 def test_pred_mode_uses_predicted_source_id():
     encoder, _, _ = build()
     sent = sentence_from_words(["cats"], source_id="src_a")
     sent.predicted_source_id = "src_b"
-    gold_in = encoder.token_inputs(sent, MODE_GOLD)[0][0]
-    pred_in = encoder.token_inputs(sent, MODE_PRED)[0][0]
+    gold_in = encoder.token_inputs(sent, MODE_GOLD)[0].data[0]
+    pred_in = encoder.token_inputs(sent, MODE_PRED)[0].data[0]
     d = CFG.token_input_dim
-    assert np.array_equal(gold_in.data[d:], encoder.source_table.emb.table.data[0])
-    assert np.array_equal(pred_in.data[d:], encoder.source_table.emb.table.data[1])
+    assert np.array_equal(gold_in[d:], encoder.source_table.emb.table.data[0])
+    assert np.array_equal(pred_in[d:], encoder.source_table.emb.table.data[1])
 
 
 def test_mode_errors():
@@ -126,8 +132,9 @@ def test_gradients_flow_only_into_used_source_row():
     sent = sentence_from_words(["cats", "sleep"], source_id="src_a")
     table = encoder.source_table.emb.table
     before = table.data.copy()
-    encodings, _ = encoder.encode_sentence(sent, MODE_GOLD)
-    loss = vsum(mul(encodings[0], encodings[0]))
+    states, _ = encoder.encode_sentence(sent, MODE_GOLD)
+    first = T.row(states, 0)
+    loss = vsum(mul(first, first))
     loss.backward()
     assert np.abs(table.grad[0]).max() > 0
     assert np.all(table.grad[1] == 0)
@@ -136,11 +143,12 @@ def test_gradients_flow_only_into_used_source_row():
     assert np.array_equal(table.data[1], before[1])
 
 
-def test_table_lookup_validation_and_export():
+def test_table_rows_for_validation_and_export():
     params = ParamSet(np.random.default_rng(0))
     table = DatasetEmbeddingTable(params, ["s1", "s2"], 4)
-    with pytest.raises(DataError, match="not a member"):
-        table.lookup("s3")
+    with pytest.raises(DataError, match="^source 's3' is not a member of this model's group$"):
+        table.rows_for("s3", 2)
+    assert np.array_equal(table.rows_for("s2", 3).data, np.tile(table.emb.table.data[1], (3, 1)))
     with pytest.raises(DataError):
         DatasetEmbeddingTable(ParamSet(np.random.default_rng(0)), ["x", "x"], 4)
     # rows() is the export that the PCA tables read

@@ -55,8 +55,8 @@ def test_non_scalar_backward_rejected():
 # decoder's ops, kept with it in tests/decoder_reference.py
 @pytest.mark.parametrize(
     "op_name",
-    ["add", "mul", "matvec", "affine", "vecmat", "matmat", "dot", "concat",
-     "concat_matrix", "stack", "row", "tanh", "softmax", "add_rowvec",
+    ["add", "mul", "matvec", "affine", "affine_matrix", "vecmat", "matmat", "dot", "concat",
+     "concat_matrix", "stack", "stack_matrix", "row", "tanh", "softmax", "add_rowvec",
      "cross_entropy", "total", "narrow", "vsum", "lemma_sequence", "transition_margins",
      "transition_margin_single"],
 )
@@ -81,6 +81,9 @@ def test_finite_difference_per_op(op_name):
         "mul": (lambda: dot(mul(a, b), probe4), [a, b]),
         "matvec": (lambda: dot(R.matvec(m, a), probe), [m, a]),
         "affine": (lambda: dot(T.affine(m, a, c), probe), [m, a, c]),
+        # rows of m2.T as inputs: each row of the output is one affine image
+        "affine_matrix": (lambda: dot(R.matvec(T.tanh(T.affine(m, R.transpose(m2), c)), probe),
+                                      probe), [m, m2, c]),
         "vecmat": (lambda: dot(R.vecmat(a, m2), probe), [a, m2]),
         "matmat": (lambda: vsum(R.matvec(R.matmat(m, m2), probe)), [m, m2]),
         "dot": (lambda: dot(a, b), [a, b]),
@@ -89,13 +92,18 @@ def test_finite_difference_per_op(op_name):
             lambda: vsum(R.matvec(T.concat([m, R.transpose(m2)]), T.concat([a, b]))), [m, m2, a, b]
         ),
         "stack": (lambda: vsum(R.matvec(T.stack([a, b, T.tanh(a)]), probe4)), [a, b]),
+        # vector parts, matrix parts and a part without rows, in one stack
+        "stack_matrix": (
+            lambda: vsum(R.matvec(T.stack([a, m, constant(np.zeros((0, 4))), T.tanh(m), b]),
+                                  probe4)), [a, m, b]),
         "row": (lambda: dot(add(T.row(m, 1), T.row(m, -1)), probe4), [m]),
         "tanh": (lambda: dot(T.tanh(a), probe4), [a]),
         "softmax": (lambda: dot(R.softmax(a), probe4), [a]),
         "add_rowvec": (lambda: dot(R.matvec(R.add_rowvec(m, b), a), probe), [m, b, a]),
-        "cross_entropy": (lambda: T.cross_entropy(R.matvec(m, a), 1), [m, a]),
-        "total": (lambda: T.total([dot(a, b), T.cross_entropy(R.matvec(m, a), 1), dot(c, probe)]),
-                  [a, b, m, c]),
+        # three rows, two of them with the same target
+        "cross_entropy": (lambda: T.cross_entropy(R.matmat(m, m2), [1, 2, 1]), [m, m2]),
+        "total": (lambda: T.total([dot(a, b), T.cross_entropy(T.stack([R.matvec(m, a)]), [1]),
+                                   dot(c, probe)]), [a, b, m, c]),
         "narrow": (lambda: dot(R.narrow(a, 1, 2), constant([0.3, -0.7])), [a]),
         "vsum": (lambda: vsum(T.tanh(a)), [a]),
         "lemma_sequence": (
@@ -345,7 +353,7 @@ def test_affine_and_two_layer_network_gradcheck():
     x = constant([0.3, -0.5, 0.8])
 
     def build():
-        return T.cross_entropy(layer2(T.tanh(layer1(x))), 0)
+        return T.cross_entropy(T.stack([layer2(T.tanh(layer1(x)))]), [0])
 
     finite_difference_check(build, ps.all())
 
@@ -426,7 +434,7 @@ def test_operations_never_mutate_their_inputs():
     inputs = [constant(np.random.default_rng(i).uniform(-1, 1, 3)) for i in range(4)]
     snapshots = [x.data.copy() for x in inputs]
     param_snapshots = {p.name: p.data.copy() for p in ps.all()}
-    loss = T.cross_entropy(head(T.row(net.run(T.stack(inputs)), 2)), 1)
+    loss = T.cross_entropy(head(net.run(T.stack(inputs))), [1, 0, 2, 1])
     loss.backward()
     for x, snap in zip(inputs, snapshots):
         assert np.array_equal(x.data, snap)
@@ -506,7 +514,7 @@ def test_adam_determinism_bit_identical():
         opt = Optimizer(ps.all(), TrainerConfig(learning_rate=0.01))
         for step in range(10):
             x = constant(np.array([0.1, 0.2, 0.3]) * (step + 1))
-            loss = T.cross_entropy(layer(x), step % 2)
+            loss = T.cross_entropy(T.stack([layer(x)]), [step % 2])
             loss.backward()
             opt.step()
         return {p.name: p.data.copy() for p in ps.all()}

@@ -6,6 +6,12 @@ silently.  These tests check the mark after a backward of each network's
 sentence losses, and that training each network with the sweep writes the
 same checkpoint bytes as training it with the dense reference step."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,3 +75,20 @@ def test_training_with_the_sweep_writes_the_dense_reference_checkpoint(task, tmp
     train(task, model, banks)
     save_network(tmp_path / "dense.npz", model)
     assert (tmp_path / "swept.npz").read_bytes() == (tmp_path / "dense.npz").read_bytes()
+
+
+def test_adam_step_bench_script_runs_and_ends_bit_identical():
+    # the script imports parser internals and the dense reference step, so a
+    # change to either would break it without this run
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "scripts/adam_step_bench.py", "--rows", "200", "--seen", "0.5",
+         "--steps", "2", "--warmup", "0"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    (line,) = proc.stdout.splitlines()
+    result = json.loads(line)
+    assert (result["word_rows"], result["seen"]) == (200, 0.5)
+    assert result["bit_identical"] is True

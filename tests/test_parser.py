@@ -63,8 +63,8 @@ def test_score_vector_shape_and_determinism():
     tb = toy_corpus()
     model = build_model(tb)
     sent = tb.sentences[0]
-    encodings, _ = model.encoder.encode_sentence(sent, MODE_NONE)
-    slots = model.scorer_slots(encodings)
+    states, _ = model.encoder.encode_sentence(sent, MODE_NONE)
+    slots = model.scorer_slots(states)
     assert slots[0].shape == (len(sent) + 2, model.config.encoder.output_dim)
     assert slots[1].shape == (4, len(sent) + 2, model.config.scorer_hidden)
     state = ParserState.initial(len(sent))
@@ -115,8 +115,8 @@ def test_fused_scorer_and_margins_agree_with_the_per_transition_reference(n, pro
     gold = random_projective_tree(n, rng) if projective else random_tree(n, rng)
     model, item = agreement_model(gold, rng.randrange(1000))
     visited, _ = reference_sentence_pass(model, item, MODE_NONE)
-    encodings, _ = model.encoder.encode_sentence(item[0], MODE_NONE)
-    slots = model.scorer_slots(encodings)
+    states, _ = model.encoder.encode_sentence(item[0], MODE_NONE)
+    slots = model.scorer_slots(states)
     for state, reference in visited:
         scores = model.score_transitions(state, slots)
         assert np.abs(scores - reference).max() <= 1e-12 * np.abs(reference).max()

@@ -117,3 +117,21 @@ def test_tsv_rendering_deterministic():
     assert out1.startswith("source_id\tpc1\tpc2\n")
     assert out1.splitlines()[1] == f"a\t{coords[0, 0]:.12g}\t{coords[0, 1]:.12g}"
     assert len(out1.strip().split("\n")) == 4
+
+
+def test_a_two_row_table_has_no_second_component():
+    # two rows centre to rank 1: the second component spans no variance, so
+    # its coordinates are exactly zero, not rounding noise
+    rows = pca_rows(["a", "b"], np.array([[1.0, 2.0, 5.0], [3.0, 0.0, 1.0]]))
+    assert [r.pc2 for r in rows] == [0.0, 0.0]
+    assert to_tsv(PcaRow, rows).splitlines()[1].endswith("\t0")
+
+
+def test_tables_differing_only_by_rounding_give_identical_rows():
+    # one ulp in two entries moved pc2's noise from -2e-18 to -1.3e-16
+    # before the rank cut; pc1 does not move at all
+    a = np.array([[0.3, -1.2, 0.7, 2.1], [-0.4, 0.9, 1.3, -0.6]])
+    b = a.copy()
+    b[0, 0] = np.nextafter(b[0, 0], 1.0)
+    b[1, 2] = np.nextafter(b[1, 2], 0.0)
+    assert pca_rows(["x", "y"], a) == pca_rows(["x", "y"], b)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisrc.conllu import Sentence, Token, Treebank
-from multisrc.encoder import MODE_NONE, EncoderConfig, SentenceEncoder
+from multisrc.encoder import MODE_GOLD, MODE_NONE, EncoderConfig, SentenceEncoder
 from multisrc.errors import DataError
 from multisrc.nn import TrainerConfig
+from multisrc.nn import tensor as T
 from multisrc.nn.checkpoint import load_checkpoint, load_network, save_checkpoint, save_network
 from multisrc.nn.tensor import Parameter, Tensor
 from multisrc.tagger import (
@@ -18,6 +21,7 @@ from multisrc.tagger import (
 )
 
 from . import decoder_reference as R
+from .helpers import reference_tagger_losses
 
 SMALL = TaggerConfig(
     encoder=EncoderConfig(word_dim=10, char_dim=8, char_emb_dim=6, source_dim=4, hidden_dim=8),
@@ -118,15 +122,15 @@ def test_suffix_rule_learned():
 
 
 def train_recording_losses(model, tb, epochs):
-    """Train, and sum each epoch's tag and lemma losses apart.  Every token
-    of `tb` has a lemma, so a sentence's losses alternate tag, lemma."""
+    """Train, and sum each epoch's tag and lemma losses apart: a sentence's
+    first loss is its summed tag loss, the rest are its lemma losses."""
     tag, lemma = [0.0] * epochs, [0.0] * epochs
     original = model.sentence_losses
 
     def recording(sentence, mode, rng, epoch):
         losses = original(sentence, mode, rng, epoch)
-        tag[epoch] += sum(float(loss.data) for loss in losses[0::2])
-        lemma[epoch] += sum(float(loss.data) for loss in losses[1::2])
+        tag[epoch] += float(losses[0].data)
+        lemma[epoch] += sum(float(loss.data) for loss in losses[1:])
         return losses
 
     model.sentence_losses = recording
@@ -166,12 +170,12 @@ def test_fused_lemma_loss_matches_the_step_composite(form, lemma):
     r = np.random.default_rng(len(lemma))
     for p in model.params.all():  # off the zero-initialized vectors, so every grad is exercised
         p.data = p.data + r.uniform(-0.1, 0.1, p.data.shape)
-    encodings, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    states, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
     results = []
     for lemma_loss in (R.lemma_loss, JointTagger.lemma_loss):
         for p in model.params.all():
             p.zero_grad()
-        encoding = Parameter("token_encoding", encodings[0].data.copy())
+        encoding = Parameter("token_encoding", states.data[0].copy())
         per_char = Parameter("char_encodings", chars[0].data.copy())
         loss = lemma_loss(model, encoding, per_char, lemma, "Pos=N")
         loss.backward()
@@ -182,6 +186,41 @@ def test_fused_lemma_loss_matches_the_step_composite(form, lemma):
     for name, old in old_grads.items():
         assert np.abs(new_grads[name] - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0), name
     assert np.abs(new_grads["char_encodings"]).max() > 0  # the attention's input grad is live
+
+
+_token = st.tuples(st.text(alphabet="abcs", min_size=1, max_size=5),
+                   st.text(alphabet="abc", max_size=4),
+                   st.lists(st.sampled_from(["Pos=N", "Pos=V", "Number=Plur"]), max_size=2))
+
+
+@given(rows=st.lists(_token, min_size=1, max_size=6), gold=st.booleans(),
+       seed=st.integers(min_value=0, max_value=99))
+@settings(max_examples=30, deadline=None)
+def test_sentence_loss_and_grads_agree_with_the_per_token_reference(rows, gold, seed):
+    # one affine and one summed cross-entropy over the encoding matrix, and a
+    # row node only for a token with a lemma, against a node per token
+    # throughout; the matmuls and the summation order differ, so 1e-12
+    sentence = make_sentence(rows, source_id="b")
+    members = ["a", "b"] if gold else []
+    model = JointTagger(SMALL, TaggerHeader.build([Treebank("b", sentences=[sentence])], members, seed))
+    r = np.random.default_rng(seed)
+    for p in model.params.all():  # off the zero-initialized vectors, so every grad is exercised
+        p.data = p.data + r.uniform(-0.1, 0.1, p.data.shape)
+    mode = MODE_GOLD if gold else MODE_NONE
+    results = []
+    for losses in (lambda: model.sentence_losses(sentence, mode, None, 0),
+                   lambda: reference_tagger_losses(model, sentence, mode)):
+        for p in model.params.all():
+            p.zero_grad()
+        loss = T.total(losses())
+        loss.backward()
+        results.append((float(loss.data), {p.name: p.grad.copy() for p in model.params.all()}))
+    (new_loss, new_grads), (old_loss, old_grads) = results
+    assert abs(new_loss - old_loss) <= 1e-12 * max(abs(old_loss), 1.0)
+    for name, old in old_grads.items():
+        assert np.abs(new_grads[name] - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0), name
+    if len(model.bundles) > 1:  # one bundle scores a constant loss
+        assert np.abs(new_grads["tag_head.w"]).max() > 0
 
 
 def count_tensors(monkeypatch) -> list:
@@ -200,9 +239,10 @@ def count_tensors(monkeypatch) -> list:
 def test_lemma_loss_builds_a_handful_of_nodes_per_lemma(monkeypatch):
     tb = identity_corpus()
     model = build_model(tb)
-    encodings, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    states, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    encoding = T.row(states, 0)
     nodes = count_tensors(monkeypatch)
-    model.lemma_loss(encodings[0], chars[0], "cat", "Pos=N")
+    model.lemma_loss(encoding, chars[0], "cat", "Pos=N")
     assert len(nodes) == 5  # dec_init, tanh, tag row, prev-char rows, lemma_sequence
 
 
@@ -212,11 +252,11 @@ def test_greedy_decoding_builds_no_graph_and_matches_the_step_composite(monkeypa
     train_joint(model, [tb], MODE_NONE, trainer(12))
     cases = []
     for sent in tb.sentences[:8]:
-        encodings, chars = model.encoder.encode_sentence(sent, MODE_NONE)
-        for tok, encoding, per_char in zip(sent.tokens, encodings, chars):
+        states, chars = model.encoder.encode_sentence(sent, MODE_NONE)
+        for i, (tok, per_char) in enumerate(zip(sent.tokens, chars)):
             bundle = bundle_string(tok.morph)
-            cases.append((encoding, per_char, tok.form, bundle,
-                          R.decode_lemma(model, encoding, per_char, tok.form, bundle)))
+            cases.append((states.data[i], per_char, tok.form, bundle,
+                          R.decode_lemma(model, T.row(states, i), per_char, tok.form, bundle)))
     nodes = count_tensors(monkeypatch)
     decoded = [model.decode_lemma(*case[:4]) for case in cases]
     assert nodes == []
@@ -246,8 +286,8 @@ def test_decode_respects_hard_length_cap():
     tb = identity_corpus()
     model = build_model(tb)  # untrained: may babble, must still halt
     sent = tb.sentences[0]
-    encodings, chars = model.encoder.encode_sentence(sent, MODE_NONE)
-    lemma = model.decode_lemma(encodings[0], chars[0], sent.tokens[0].form, "Pos=N")
+    states, chars = model.encoder.encode_sentence(sent, MODE_NONE)
+    lemma = model.decode_lemma(states.data[0], chars[0], sent.tokens[0].form, "Pos=N")
     assert len(lemma) <= max_lemma_length(sent.tokens[0].form)
     assert max_lemma_length("cat") == 14
 
@@ -255,11 +295,11 @@ def test_decode_respects_hard_length_cap():
 def test_decode_errors():
     tb = identity_corpus()
     model = build_model(tb)
-    encodings, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
+    states, chars = model.encoder.encode_sentence(tb.sentences[0], MODE_NONE)
     with pytest.raises(DataError, match="empty form"):
-        model.decode_lemma(encodings[0], chars[0], "", "Pos=N")
+        model.decode_lemma(states.data[0], chars[0], "", "Pos=N")
     with pytest.raises(DataError, match="unknown bundle"):
-        model.decode_lemma(encodings[0], chars[0], "cat", "Nope=1")
+        model.decode_lemma(states.data[0], chars[0], "cat", "Nope=1")
 
 
 def test_training_determinism():
